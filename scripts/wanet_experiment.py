@@ -20,19 +20,12 @@ from nashadmm import (
     AdmmConfig,
     BaselineConfig,
     SigmaEstimationError,
-    check_condition,
     compare,
-    condition_threshold,
     default_wanet_instance,
     estimate_sigma_f,
     run,
 )
-from nashadmm.cli import write_trace
-
-
-def emit(**pairs):
-    for k, v in pairs.items():
-        print(f"{k}={repr(v) if isinstance(v, float) else v}")
+from nashadmm.cli import _emit, emit_condition_report, write_trace
 
 
 def main(argv=None) -> int:
@@ -50,55 +43,50 @@ def main(argv=None) -> int:
 
     sharers = np.bincount(np.concatenate([np.asarray(r) for r in game.routes]),
                           minlength=len(game.capacities))
-    emit(seed=args.seed, players=game.n_players, links=len(game.capacities),
-         max_link_sharers=int(sharers.max()),
-         edges=len(graph.edges), degree_min=int(graph.degrees().min()),
-         degree_max=int(graph.degrees().max()))
+    _emit(seed=args.seed, players=game.n_players, links=len(game.capacities),
+          max_link_sharers=int(sharers.max()),
+          edges=len(graph.edges), degree_min=int(graph.degrees().min()),
+          degree_max=int(graph.degrees().max()))
 
     cfg = AdmmConfig(max_iter=args.max_iter)
-    emit(lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
-         lambda_max_normalized_laplacian=graph.lambda_max_normalized_laplacian(),
-         threshold=condition_threshold(cfg, graph))
     try:
-        sigma = estimate_sigma_f(game, game.action_box, samples=200, seed=args.seed)
-        ok, margin = (check_condition(sigma, cfg, graph) if sigma > 0
-                      else (False, sigma - condition_threshold(cfg, graph)))
-        emit(sigma_f_estimate=float(sigma), condition_satisfied=ok, margin=float(margin))
+        emit_condition_report(graph, cfg, lambda: (
+            estimate_sigma_f(game, game.action_box, samples=200, seed=args.seed), "estimated"))
     except SigmaEstimationError as e:
-        emit(sigma_f_estimate="none")
+        _emit(sigma_f="none")
         print(f"note: {e}", file=sys.stderr)
 
     result = run(game, graph, cfg)
     write_trace(out / "trace_solver.csv", result.records, graph.n)
     final = result.records[-1]
-    emit(solver_reason=result.reason, solver_iterations=result.state.k,
-         consensus_error=float(final.consensus_error),
-         ne_residual=float(final.ne_residual),
-         guard_activations=final.guard_activations)
+    _emit(solver_reason=result.reason, solver_iterations=result.state.k,
+          consensus_error=float(final.consensus_error),
+          ne_residual=float(final.ne_residual),
+          guard_activations=final.guard_activations)
     if result.reason != "converged":
         print("error: solver did not converge, skipping the race", file=sys.stderr)
         return 2
 
     flows = np.diagonal(result.state.X)
     margins = game.residual_capacities(flows)
-    emit(flow_min=float(flows.min()), flow_max=float(flows.max()),
-         link_margin_min=float(margins.min()))
+    _emit(flow_min=float(flows.min()), flow_max=float(flows.max()),
+          link_margin_min=float(margins.min()))
 
     report = compare(game, graph, cfg, BaselineConfig(max_iter=args.max_iter),
                      tol=args.tol)
     write_trace(out / "trace_admm.csv", report.admm_result.records, graph.n)
     write_trace(out / "trace_baseline.csv", report.baseline_result.records, graph.n)
-    emit(race_tol=args.tol,
-         admm_iterations=report.admm_iterations,
-         baseline_iterations=report.baseline_iterations,
-         baseline_gamma=report.baseline_gamma,
-         ratio="none" if report.ratio is None else float(report.ratio))
+    _emit(race_tol=args.tol,
+          admm_iterations=report.admm_iterations,
+          baseline_iterations=report.baseline_iterations,
+          baseline_gamma=report.baseline_gamma,
+          ratio="none" if report.ratio is None else float(report.ratio))
     for g, reason, iters in report.sweep_results:
         print(f"sweep gamma={g!r} reason={reason} "
               f"iterations={'none' if iters is None else iters}")
 
     ok = report.ratio is not None and report.ratio > 1.0
-    emit(ordering_holds=ok)
+    _emit(ordering_holds=ok)
     return 0 if ok else 2
 
 

@@ -9,17 +9,13 @@ congestion-game testbed round out the package.
 
 from .admm import (
     AdmmConfig,
-    DualState,
     RunResult,
     SolverState,
     admm_step,
     check_condition,
     condition_threshold,
-    dual_w_matrix,
-    init_dual_state,
     init_state,
     run,
-    unsimplified_step,
 )
 from .baseline import (
     BaselineConfig,
@@ -58,9 +54,8 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmConfig", "DualState", "RunResult", "SolverState", "admm_step",
-    "check_condition", "condition_threshold", "dual_w_matrix",
-    "init_dual_state", "init_state", "run", "unsimplified_step",
+    "AdmmConfig", "RunResult", "SolverState", "admm_step",
+    "check_condition", "condition_threshold", "init_state", "run",
     "BaselineConfig", "ComparisonReport", "baseline_step", "compare",
     "neighbor_average", "run_baseline",
     "ActionBox", "GameModel", "QuadraticGame", "SigmaEstimationError",

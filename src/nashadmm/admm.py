@@ -6,25 +6,14 @@ constraints x^i = x^j on every communication edge tie the copies together,
 and an augmented-Lagrangian splitting yields a per-player recursion whose
 only dual memory is the aggregate penalty vector w^i.
 
-Two algebraically identical step functions are provided:
-
-* `admm_step`: the compact recursion carrying one w-vector per player. This
-  is the production path.
-* `unsimplified_step`: the explicit form carrying a Lagrange multiplier pair
-  (u^{ij}, v^{ij}) per directed edge. It exists so tests can assert that the
-  two trajectories coincide and that the multiplier pairs cancel identically
-  (u^{ij} + v^{ij} = 0 after every update, a structural identity of the
-  splitting).
-
 All updates are synchronous: every player reads iteration-k state and the new
-state is assembled in fresh arrays, which is what makes the optional
-per-player thread pool safe and bit-reproducible.
+state is assembled in fresh arrays. tests/oracles.py keeps the explicit form,
+one multiplier pair per directed edge, as the reference for this recursion.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +25,9 @@ from .metrics import IterationRecord, consensus_error, ne_residual
 __all__ = [
     "AdmmConfig",
     "SolverState",
-    "DualState",
     "RunResult",
     "init_state",
-    "init_dual_state",
     "admm_step",
-    "unsimplified_step",
-    "dual_w_matrix",
     "run",
     "check_condition",
     "condition_threshold",
@@ -106,21 +91,6 @@ class SolverState:
 
 
 @dataclass
-class DualState:
-    """Explicit-form state: one (u, v) multiplier pair per directed edge.
-
-    u and v map a directed edge (i, j) with j a neighbor of i to a vector in
-    R^N. For all k >= 0 the identity u[(i, j)] + v[(i, j)] = 0 holds exactly,
-    because both sides of an edge receive negated copies of the same update.
-    """
-
-    u: dict
-    v: dict
-    X: np.ndarray
-    k: int = 0
-
-
-@dataclass
 class RunResult:
     """Terminal state plus the sampled trace and why iteration stopped.
 
@@ -134,7 +104,8 @@ class RunResult:
     diverged_at: int | None = None
 
 
-def _validate_x0(game: GameModel, graph: CommGraph, x0) -> np.ndarray:
+def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
+    """Fresh solver state at k = 0: rows broadcast from x0 (default 0), W = 0."""
     n = graph.n
     if game.n_players != n:
         raise ValueError(f"game has {game.n_players} players but graph has {n} nodes")
@@ -157,51 +128,16 @@ def _validate_x0(game: GameModel, graph: CommGraph, x0) -> np.ndarray:
     for i in range(n):
         if not box.contains(X[i]):
             raise ValueError(f"initial estimate row {i} is outside the action box")
-    return X
-
-
-def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
-    """Fresh solver state at k = 0: rows broadcast from x0 (default 0), W = 0."""
-    X = _validate_x0(game, graph, x0)
     return SolverState(X=X, W=np.zeros_like(X), k=0)
 
 
-def init_dual_state(game: GameModel, graph: CommGraph, x0=None) -> DualState:
-    """Explicit-form state at k = 0 with all multipliers zero."""
-    X = _validate_x0(game, graph, x0)
-    n = graph.n
-    u, v = {}, {}
-    for i in range(n):
-        for j in graph.neighbors(i):
-            u[(i, j)] = np.zeros(n)
-            v[(i, j)] = np.zeros(n)
-    return DualState(u=u, v=v, X=X, k=0)
-
-
-def _player_gradients(game: GameModel, X: np.ndarray, executor=None) -> np.ndarray:
-    """grad_i of each player's own cost at their own estimate row.
-
-    The threaded path issues the identical per-player scalar calls, so the
-    assembled vector is bitwise equal to the sequential one.
-    """
-    n = X.shape[0]
-    if executor is None:
-        return np.array([game.grad_i(i, X[i]) for i in range(n)])
-    return np.array(list(executor.map(lambda i: game.grad_i(i, X[i]), range(n))))
-
-
-def _neighbor_sums(X: np.ndarray, nbr_idx) -> np.ndarray:
-    # row i = sum of neighbor rows of i; indexed gather keeps the reduction
-    # order fixed so repeated runs are bit-identical
-    return np.stack([X[idx].sum(axis=0) for idx in nbr_idx])
-
-
-def _neighbor_index(graph: CommGraph):
-    return [np.asarray(l, dtype=np.intp) for l in graph.neighbor_lists()]
+def _player_gradients(game: GameModel, X: np.ndarray) -> np.ndarray:
+    """grad_i of each player's own cost at their own estimate row."""
+    return np.array([game.grad_i(i, X[i]) for i in range(X.shape[0])])
 
 
 def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
-              cfg: AdmmConfig, executor=None) -> SolverState:
+              cfg: AdmmConfig) -> SolverState:
     """One synchronous iteration of the compact per-player recursion.
 
     With all quantities on the right-hand side read from iteration k:
@@ -221,75 +157,23 @@ def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
     n = graph.n
     X, W = state.X, state.W
     deg = graph.degrees().astype(float)
-    nbr_idx = _neighbor_index(graph)
     if np.any(deg == 0):
         raise ValueError("every player needs at least one neighbor")
 
-    S = _neighbor_sums(X, nbr_idx)
+    S = graph.neighbor_sums(X)
     W_new = W + cfg.c * (deg[:, None] * X - S)
 
     beta = cfg.beta_vector(n)
     alpha = beta + 2.0 * cfg.c * deg
     X_new = S / deg[:, None] - W / (2.0 * cfg.c * deg[:, None])
 
-    grads = _player_gradients(game, X, executor)
+    grads = _player_gradients(game, X)
     own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(W_new) - grads \
         + cfg.c * np.diagonal(S)
     box = game.action_box
     idx = np.arange(n)
     X_new[idx, idx] = np.clip(own_num / alpha, box.lower, box.upper)
     return SolverState(X=X_new, W=W_new, k=state.k + 1)
-
-
-def unsimplified_step(dstate: DualState, game: GameModel, graph: CommGraph,
-                      cfg: AdmmConfig, executor=None) -> DualState:
-    """One iteration of the explicit multiplier form.
-
-    Order of operations: both multipliers of every directed edge move by
-    +-(c/2)(x^i - x^j); the off-diagonal estimate coordinates average the old
-    row with the neighborhood mean and subtract the refreshed multiplier
-    aggregate; the own coordinate applies the same proximal projection as
-    `admm_step` expressed through sum_j (u^{ij} + v^{ji}).
-    """
-    n = graph.n
-    X = dstate.X
-    deg = graph.degrees().astype(float)
-    nbr_idx = _neighbor_index(graph)
-    half_c = 0.5 * cfg.c
-
-    u_new, v_new = {}, {}
-    for (i, j), uij in dstate.u.items():
-        d = X[i] - X[j]
-        u_new[(i, j)] = uij + half_c * d
-        v_new[(i, j)] = dstate.v[(i, j)] - half_c * d
-
-    # w^i reconstructed from the refreshed multipliers
-    msum = np.stack([
-        sum(u_new[(i, j)] + v_new[(j, i)] for j in graph.neighbors(i))
-        for i in range(n)
-    ])
-
-    S = _neighbor_sums(X, nbr_idx)
-    avg = S / deg[:, None]
-    X_new = 0.5 * (X + avg) - msum / (2.0 * cfg.c * deg[:, None])
-
-    beta = cfg.beta_vector(n)
-    alpha = beta + 2.0 * cfg.c * deg
-    grads = _player_gradients(game, X, executor)
-    own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(msum) - grads \
-        + cfg.c * np.diagonal(S)
-    box = game.action_box
-    idx = np.arange(n)
-    X_new[idx, idx] = np.clip(own_num / alpha, box.lower, box.upper)
-    return DualState(u=u_new, v=v_new, X=X_new, k=dstate.k + 1)
-
-
-def dual_w_matrix(dstate: DualState, graph: CommGraph) -> np.ndarray:
-    """Aggregate w^i = sum_{j in N_i} (u^{ij} + v^{ji}) as an n-by-n matrix."""
-    return np.stack([
-        sum(dstate.u[(i, j)] + dstate.v[(j, i)] for j in graph.neighbors(i))
-        for i in range(graph.n)
-    ])
 
 
 def _make_record(state: SolverState, game: GameModel, graph: CommGraph,
@@ -339,20 +223,9 @@ def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
             return RunResult(state=state, records=records, reason="iteration budget")
 
 
-def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None,
-        n_threads: int = 1) -> RunResult:
-    """Iterate `admm_step` from x0 until both tolerances hold or the budget ends.
-
-    n_threads > 1 evaluates the per-player gradients on a thread pool; the
-    trajectory is unchanged because each gradient call is independent and the
-    results are assembled in player order.
-    """
+def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None) -> RunResult:
+    """Iterate `admm_step` from x0 until both tolerances hold or the budget ends."""
     state = init_state(game, graph, x0)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            step = lambda s: admm_step(s, game, graph, cfg, executor=ex)
-            return _drive(state, step, game, graph, cfg.max_iter,
-                          cfg.tol_consensus, cfg.tol_residual, cfg.record_every)
     step = lambda s: admm_step(s, game, graph, cfg)
     return _drive(state, step, game, graph, cfg.max_iter,
                   cfg.tol_consensus, cfg.tol_residual, cfg.record_every)

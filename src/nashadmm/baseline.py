@@ -62,20 +62,16 @@ def neighbor_average(X: np.ndarray, graph: CommGraph) -> np.ndarray:
     of X.
     """
     deg = graph.degrees().astype(float)
-    rows = [
-        (X[np.asarray(nbrs, dtype=np.intp)].sum(axis=0) + X[i]) / (deg[i] + 1.0)
-        for i, nbrs in enumerate(graph.neighbor_lists())
-    ]
-    return np.stack(rows)
+    return (graph.neighbor_sums(X) + X) / (deg[:, None] + 1.0)
 
 
 def baseline_step(state: SolverState, game: GameModel, graph: CommGraph,
-                  cfg: BaselineConfig, executor=None) -> SolverState:
+                  cfg: BaselineConfig) -> SolverState:
     """Averaging on the non-own coordinates, projected gradient on the own one."""
     X = state.X
     n = graph.n
     X_new = neighbor_average(X, graph)
-    grads = _player_gradients(game, X, executor)
+    grads = _player_gradients(game, X)
     box = game.action_box
     idx = np.arange(n)
     X_new[idx, idx] = np.clip(np.diagonal(X) - cfg.gamma * grads, box.lower, box.upper)
@@ -114,34 +110,19 @@ class ComparisonReport:
 
 
 def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
-            baseline_cfg: BaselineConfig, tol: float, x0=None,
-            self_comparison: bool = False, n_threads: int = 1) -> ComparisonReport:
+            baseline_cfg: BaselineConfig, tol: float, x0=None) -> ComparisonReport:
     """Run both solvers from the same start to the same tolerance and report.
 
     Both stopping thresholds are set to `tol`. The baseline is swept over
     baseline_cfg.sweep (falling back to its single gamma) and the best
     convergent step size represents it, so the comparison is not decided by a
-    badly tuned gamma. With self_comparison=True the "baseline" is a second
-    identical ADMM run, a smoke test pinning the ratio at exactly 1.
+    badly tuned gamma.
     """
     from .admm import run as admm_run
 
     a_cfg = replace(admm_cfg, tol_consensus=tol, tol_residual=tol)
-    admm_result = admm_run(game, graph, a_cfg, x0=x0, n_threads=n_threads)
+    admm_result = admm_run(game, graph, a_cfg, x0=x0)
     admm_iters = admm_result.state.k if admm_result.reason == "converged" else None
-
-    if self_comparison:
-        twin = admm_run(game, graph, a_cfg, x0=x0, n_threads=n_threads)
-        twin_iters = twin.state.k if twin.reason == "converged" else None
-        ratio = None
-        if admm_iters and twin_iters:
-            ratio = twin_iters / admm_iters
-        return ComparisonReport(
-            tol=tol, admm_reason=admm_result.reason, admm_iterations=admm_iters,
-            baseline_reason=twin.reason, baseline_iterations=twin_iters,
-            baseline_gamma=None, sweep_results=(), ratio=ratio,
-            admm_result=admm_result, baseline_result=twin,
-        )
 
     gammas = baseline_cfg.sweep if baseline_cfg.sweep else (baseline_cfg.gamma,)
     sweep_results = []

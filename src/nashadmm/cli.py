@@ -54,7 +54,7 @@ DEFAULT_CONFIG = {
         "tol_residual": 1e-6,
         "record_every": 1,
     },
-    "compare": {"tol": 1e-4, "self_comparison": False},
+    "compare": {"tol": 1e-4},
 }
 
 
@@ -106,22 +106,22 @@ def _as_bounds(raw, n: int, path: str) -> np.ndarray:
 def build_game(block: dict, default_seed: int):
     kind = block.get("type")
     if kind == "quadratic":
-        a = np.asarray(_require(block, "a", "game"), dtype=float)
-        B = np.asarray(_require(block, "B", "game"), dtype=float)
-        d = np.asarray(_require(block, "d", "game"), dtype=float)
-        box_blk = _require(block, "box", "game")
-        if not isinstance(box_blk, dict):
-            raise ConfigError("game.box", "must be an object with lower/upper")
-        n = a.shape[0]
-        lower = _as_bounds(_require(box_blk, "lower", "game.box"), n, "game.box.lower")
-        upper = _as_bounds(_require(box_blk, "upper", "game.box"), n, "game.box.upper")
         try:
+            a = np.asarray(_require(block, "a", "game"), dtype=float)
+            B = np.asarray(_require(block, "B", "game"), dtype=float)
+            d = np.asarray(_require(block, "d", "game"), dtype=float)
+            box_blk = _require(block, "box", "game")
+            if not isinstance(box_blk, dict):
+                raise ConfigError("game.box", "must be an object with lower/upper")
+            n = a.shape[0]
+            lower = _as_bounds(_require(box_blk, "lower", "game.box"), n, "game.box.lower")
+            upper = _as_bounds(_require(box_blk, "upper", "game.box"), n, "game.box.upper")
             return QuadraticGame(a, B, d, ActionBox(lower, upper))
-        except ValueError as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ConfigError("game", str(e))
     if kind == "wanet":
-        seed = int(block.get("seed", default_seed))
         try:
+            seed = int(block.get("seed", default_seed))
             if "routes" in block:
                 routes = block["routes"]
                 if not routes:
@@ -141,7 +141,7 @@ def build_game(block: dict, default_seed: int):
                 chi=block.get("chi", 10.0),
                 eps_guard=float(block.get("eps_guard", 1e-6)),
             )
-        except ValueError as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ConfigError("game", str(e))
     raise ConfigError("game.type", f"unknown game type {kind!r}")
 
@@ -151,11 +151,14 @@ def build_graph(block: dict, default_seed: int):
         block = {**block, "seed": default_seed}
     try:
         return graph_from_config(block)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise ConfigError("graph", str(e))
 
 
 def build_admm(block: dict):
+    x0 = block.get("x0", "zeros")
+    if isinstance(x0, str) and x0 != "zeros":
+        raise ConfigError("admm.x0", f"unknown preset {x0!r}")
     try:
         cfg = AdmmConfig(
             c=float(block.get("c", 1.0)),
@@ -165,15 +168,9 @@ def build_admm(block: dict):
             tol_residual=float(block.get("tol_residual", 1e-6)),
             record_every=int(block.get("record_every", 1)),
         )
-    except (ValueError, TypeError) as e:
+        x0 = None if isinstance(x0, str) else np.asarray(x0, dtype=float)
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError("admm", str(e))
-    x0 = block.get("x0", "zeros")
-    if isinstance(x0, str):
-        if x0 != "zeros":
-            raise ConfigError("admm.x0", f"unknown preset {x0!r}")
-        x0 = None
-    else:
-        x0 = np.asarray(x0, dtype=float)
     return cfg, x0
 
 
@@ -184,11 +181,11 @@ def _scalar_or_tuple(v):
 
 
 def build_baseline(block: dict):
-    sweep = block.get("sweep")
-    gamma = float(block.get("gamma", 0.05))
-    if sweep is None:
-        sweep = (gamma,) if "gamma" in block else BaselineConfig().sweep
     try:
+        sweep = block.get("sweep")
+        gamma = float(block.get("gamma", 0.05))
+        if sweep is None:
+            sweep = (gamma,) if "gamma" in block else BaselineConfig().sweep
         return BaselineConfig(
             gamma=gamma,
             sweep=tuple(float(g) for g in sweep),
@@ -197,7 +194,7 @@ def build_baseline(block: dict):
             tol_residual=float(block.get("tol_residual", 1e-6)),
             record_every=int(block.get("record_every", 1)),
         )
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError("baseline", str(e))
 
 
@@ -250,7 +247,7 @@ def cmd_run(args) -> int:
     game = build_game(_block(cfg, "game"), seed)
     graph = build_graph(_block(cfg, "graph"), seed)
     admm_cfg, x0 = build_admm(_block(cfg, "admm"))
-    result = run(game, graph, admm_cfg, x0=x0, n_threads=args.threads)
+    result = run(game, graph, admm_cfg, x0=x0)
 
     out = _output_dir(cfg, args.output_dir)
     trace = out / "trace.csv"
@@ -280,13 +277,8 @@ def cmd_compare(args) -> int:
     graph = build_graph(_block(cfg, "graph"), seed)
     admm_cfg, x0 = build_admm(_block(cfg, "admm"))
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
-    cmp_blk = cfg.get("compare", {})
-    tol = float(cmp_blk.get("tol", 1e-4))
-    report = compare(
-        game, graph, admm_cfg, baseline_cfg, tol, x0=x0,
-        self_comparison=bool(cmp_blk.get("self_comparison", False)),
-        n_threads=args.threads,
-    )
+    tol = float(cfg.get("compare", {}).get("tol", 1e-4))
+    report = compare(game, graph, admm_cfg, baseline_cfg, tol, x0=x0)
 
     out = _output_dir(cfg, args.output_dir)
     trace_a = out / "trace_admm.csv"
@@ -323,36 +315,45 @@ def cmd_check(args) -> int:
         return 1
 
     admm_cfg, _ = build_admm(cfg.get("admm", {}))
+
+    def sigma_f():
+        given = cfg.get("sigma_f") if args.sigma_f is None else args.sigma_f
+        if given is not None:
+            return float(given), "given"
+        game = build_game(_block(cfg, "game"), seed)
+        if game.n_players != graph.n:
+            raise ConfigError("game", "player count disagrees with graph size")
+        return estimate_sigma_f(game, game.action_box, samples=args.samples, seed=seed), "estimated"
+
+    try:
+        emit_condition_report(graph, admm_cfg, sigma_f)
+    except SigmaEstimationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def emit_condition_report(graph, admm_cfg: AdmmConfig, sigma_f) -> None:
+    """Print the spectral threshold, then sigma_F and the sufficient-condition verdict.
+
+    sigma_f() returns (value, source); it runs after the threshold lines are
+    printed, and a SigmaEstimationError it raises is left to the caller.
+    """
+    threshold = condition_threshold(admm_cfg, graph)
     _emit(
         lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
         lambda_max_normalized_laplacian=graph.lambda_max_normalized_laplacian(),
         c=admm_cfg.c,
         beta_min=float(np.min(admm_cfg.beta_vector(graph.n))),
-        threshold=condition_threshold(admm_cfg, graph),
+        threshold=threshold,
     )
-
-    if args.sigma_f is not None:
-        sigma, source = float(args.sigma_f), "given"
-    elif "sigma_f" in cfg:
-        sigma, source = float(cfg["sigma_f"]), "given"
-    else:
-        game = build_game(_block(cfg, "game"), seed)
-        if game.n_players != graph.n:
-            raise ConfigError("game", "player count disagrees with graph size")
-        try:
-            sigma = estimate_sigma_f(game, game.action_box, samples=args.samples, seed=seed)
-        except SigmaEstimationError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        source = "estimated"
-
-    _emit(sigma_f=float(sigma), sigma_f_source=source)
+    sigma, source = sigma_f()
     if sigma > 0:
         ok, margin = check_condition(sigma, admm_cfg, graph)
     else:
-        ok, margin = False, sigma - condition_threshold(admm_cfg, graph)
-    _emit(condition_satisfied=ok, margin=float(margin))
-    return 0
+        ok, margin = False, sigma - threshold
+    _emit(sigma_f=float(sigma), sigma_f_source=source,
+          condition_satisfied=ok, margin=float(margin))
 
 
 def cmd_spectra(args) -> int:
@@ -388,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("config", help="path to the JSON run config")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="per-player gradient threads (results identical)")
         sp.add_argument("--timing", action="store_true",
                         help="record wall-clock elapsed_us in traces "
                              "(breaks byte-for-byte reproducibility)")

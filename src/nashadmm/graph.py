@@ -9,6 +9,7 @@ condition, lambda_min(D + A) and lambda_max of the normalized Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -35,9 +36,18 @@ def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tupl
     return frozenset(out)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CommGraph:
-    """Undirected simple graph on nodes 0..n-1, immutable after construction."""
+    """Undirected simple graph on nodes 0..n-1, immutable after construction.
+
+    Neighbor lists and the index arrays the solvers gather with are derived
+    from the edges once, on first use, as tuples and read-only arrays.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -47,33 +57,45 @@ class CommGraph:
             raise ValueError("graph needs at least one node")
         object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
 
-    def neighbors(self, i: int) -> list[int]:
-        """Sorted neighbor indices of node i."""
-        if not (0 <= i < self.n):
-            raise IndexError(f"node {i} out of range for n={self.n}")
-        nbrs = set()
-        for a, b in self.edges:
-            if a == i:
-                nbrs.add(b)
-            elif b == i:
-                nbrs.add(a)
-        return sorted(nbrs)
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Neighbor list for every node, index-aligned."""
+    @cached_property
+    def _nbrs(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for a, b in self.edges:
             nbrs[a].append(b)
             nbrs[b].append(a)
-        return [sorted(l) for l in nbrs]
+        return tuple(tuple(sorted(l)) for l in nbrs)
+
+    @cached_property
+    def _nbr_idx(self) -> tuple[np.ndarray, ...]:
+        return tuple(_frozen(np.array(l, dtype=np.intp)) for l in self._nbrs)
+
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        ends = _frozen(np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2).T.copy())
+        return ends[0], ends[1]
+
+    def neighbors(self, i: int) -> list[int]:
+        """Sorted neighbor indices of node i."""
+        if not (0 <= i < self.n):
+            raise IndexError(f"node {i} out of range for n={self.n}")
+        return list(self._nbrs[i])
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Neighbor list for every node, index-aligned."""
+        return [list(l) for l in self._nbrs]
 
     def degrees(self) -> np.ndarray:
         """Vector of node degrees |N_i|."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.array([len(l) for l in self._nbrs], dtype=np.int64)
+
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays (i, j), i < j, one entry per edge."""
+        return self._ends
+
+    def neighbor_sums(self, X: np.ndarray) -> np.ndarray:
+        """Row i = sum of the rows X[j], j in N_i, added in ascending j (a
+        fixed order, so repeated runs are bit-identical)."""
+        return np.stack([X[idx].sum(axis=0) for idx in self._nbr_idx])
 
     def adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix with zero diagonal."""
@@ -103,9 +125,7 @@ class CommGraph:
 
     def is_connected(self) -> bool:
         """True iff every node is reachable from node 0."""
-        if self.n == 1:
-            return True
-        nbrs = self.neighbor_lists()
+        nbrs = self._nbrs
         seen = [False] * self.n
         stack = [0]
         seen[0] = True

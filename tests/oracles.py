@@ -2,13 +2,18 @@
 
 Everything here is deliberately primitive: finite differences instead of the
 library's analytic gradients, exact characteristic polynomials instead of
-LAPACK, dense grid search instead of solver output. Slow and dumb on purpose.
+LAPACK, dense grid search instead of solver output, per-edge multipliers
+instead of the solver's compact w-recursion. Slow and dumb on purpose.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import sympy as sp
+
+from nashadmm import init_state
 
 
 def central_diff(f, x: np.ndarray, i: int, h: float = 1e-5) -> float:
@@ -69,3 +74,79 @@ def normalized_laplacian_eigs_exact(graph) -> np.ndarray:
     M = [[sp.Rational(int(L[i][j]), int(deg[i])) for j in range(graph.n)]
          for i in range(graph.n)]
     return charpoly_eigs(M)
+
+
+@dataclass
+class DualState:
+    """Explicit-form state: one (u, v) multiplier pair per directed edge.
+
+    u and v map a directed edge (i, j) with j a neighbor of i to a vector in
+    R^N. For all k >= 0 the identity u[(i, j)] + v[(i, j)] = 0 holds exactly,
+    because both sides of an edge receive negated copies of the same update.
+    """
+
+    u: dict
+    v: dict
+    X: np.ndarray
+    k: int = 0
+
+
+def init_dual_state(game, graph, x0=None) -> DualState:
+    """Explicit-form state at k = 0 with all multipliers zero."""
+    X = init_state(game, graph, x0).X
+    n = graph.n
+    u, v = {}, {}
+    for i in range(n):
+        for j in graph.neighbors(i):
+            u[(i, j)] = np.zeros(n)
+            v[(i, j)] = np.zeros(n)
+    return DualState(u=u, v=v, X=X, k=0)
+
+
+def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
+    """One iteration of the explicit multiplier form.
+
+    Order of operations: both multipliers of every directed edge move by
+    +-(c/2)(x^i - x^j); the off-diagonal estimate coordinates average the old
+    row with the neighborhood mean and subtract the refreshed multiplier
+    aggregate; the own coordinate applies the same proximal projection as
+    `admm_step` expressed through sum_j (u^{ij} + v^{ji}).
+    """
+    n = graph.n
+    X = dstate.X
+    deg = graph.degrees().astype(float)
+    half_c = 0.5 * cfg.c
+
+    u_new, v_new = {}, {}
+    for (i, j), uij in dstate.u.items():
+        d = X[i] - X[j]
+        u_new[(i, j)] = uij + half_c * d
+        v_new[(i, j)] = dstate.v[(i, j)] - half_c * d
+
+    # w^i reconstructed from the refreshed multipliers
+    msum = np.stack([
+        sum(u_new[(i, j)] + v_new[(j, i)] for j in graph.neighbors(i))
+        for i in range(n)
+    ])
+
+    S = graph.neighbor_sums(X)
+    avg = S / deg[:, None]
+    X_new = 0.5 * (X + avg) - msum / (2.0 * cfg.c * deg[:, None])
+
+    beta = cfg.beta_vector(n)
+    alpha = beta + 2.0 * cfg.c * deg
+    grads = np.array([game.grad_i(i, X[i]) for i in range(n)])
+    own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(msum) - grads \
+        + cfg.c * np.diagonal(S)
+    box = game.action_box
+    idx = np.arange(n)
+    X_new[idx, idx] = np.clip(own_num / alpha, box.lower, box.upper)
+    return DualState(u=u_new, v=v_new, X=X_new, k=dstate.k + 1)
+
+
+def dual_w_matrix(dstate: DualState, graph) -> np.ndarray:
+    """Aggregate w^i = sum_{j in N_i} (u^{ij} + v^{ji}) as an n-by-n matrix."""
+    return np.stack([
+        sum(dstate.u[(i, j)] + dstate.v[(j, i)] for j in graph.neighbors(i))
+        for i in range(graph.n)
+    ])

@@ -116,14 +116,6 @@ def test_compare_on_quadratic_game():
     assert rep.tol == 1e-5
 
 
-def test_compare_self_comparison_ratio_is_one():
-    game = random_quadratic_game(4, seed=2)
-    rep = compare(game, ring(4), AdmmConfig(), BaselineConfig(), tol=1e-6,
-                  self_comparison=True)
-    assert rep.ratio == 1.0
-    assert rep.baseline_gamma is None and rep.sweep_results == ()
-
-
 def test_compare_infinite_ratio_when_baseline_never_converges():
     game = decoupled(a=2.0, d=-2.0)
     base = BaselineConfig(sweep=(1.0,), max_iter=300)

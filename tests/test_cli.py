@@ -92,15 +92,13 @@ def test_run_trace_shape_and_columns(tmp_path, capsys):
     assert all(l.split(",")[-1] == "0" for l in lines[1:])  # no --timing
 
 
-def test_run_byte_identical_and_thread_invariant(tmp_path, capsys):
+def test_run_byte_identical(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, QUAD)
-    dirs = [tmp_path / s for s in ("a", "b", "c")]
+    dirs = [tmp_path / s for s in ("a", "b")]
     assert cli.main(["run", cfgp, "--output-dir", str(dirs[0])]) == 0
     assert cli.main(["run", cfgp, "--output-dir", str(dirs[1])]) == 0
-    assert cli.main(["run", cfgp, "--threads", "3", "--output-dir", str(dirs[2])]) == 0
     capsys.readouterr()
-    blobs = [(d / "trace.csv").read_bytes() for d in dirs]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert (dirs[0] / "trace.csv").read_bytes() == (dirs[1] / "trace.csv").read_bytes()
 
 
 def test_run_x0_appears_in_first_record(tmp_path, capsys):
@@ -190,6 +188,22 @@ def test_quadratic_missing_field_names_path(tmp_path, capsys):
     assert "game.a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, field, value", [
+    ("admm", "max_iter", 1e999),       # int(inf): OverflowError
+    ("admm", "x0", {"a": 1}),          # float(dict): TypeError
+    ("game", "routes", [["a"]]),       # 1 + max(["a"]): TypeError
+    ("graph", "n", 1e999),             # int(inf): OverflowError
+], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n"])
+def test_bad_field_value_is_a_config_error(tmp_path, capsys, block, field, value):
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg[block][field] = value
+    rc = cli.main(["run", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {block}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_graph_type(tmp_path, capsys):
     cfg = copy.deepcopy(QUAD)
     cfg["graph"] = {"type": "torus", "n": 3}
@@ -263,17 +277,6 @@ def test_compare_summary_and_traces(tmp_path, capsys):
     assert len(sweep_lines) == 2
     assert (tmp_path / "trace_admm.csv").exists()
     assert (tmp_path / "trace_baseline.csv").exists()
-
-
-def test_compare_self_comparison(tmp_path, capsys):
-    cfg = copy.deepcopy(QUAD)
-    cfg["baseline"] = {}
-    cfg["compare"] = {"tol": 1e-6, "self_comparison": True}
-    rc = cli.main(["compare", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
-    out = kv(capsys.readouterr().out)
-    assert rc == 0
-    assert float(out["ratio"]) == 1.0
-    assert out["baseline_gamma"] == "none"
 
 
 # ------------------------------------------------------- spectra / defaults

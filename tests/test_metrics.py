@@ -24,6 +24,9 @@ from nashadmm import (
 def test_consensus_error_zero_on_agreement():
     X = np.tile(np.array([1.0, -2.0, 3.0]), (3, 1))
     assert consensus_error(X, ring(3)) == 0.0
+    # vacuous maximum: a single node, and a graph without edges
+    assert consensus_error(X[:1], CommGraph(1)) == 0.0
+    assert consensus_error(X, CommGraph(3)) == 0.0
 
 
 def test_consensus_error_single_edge_difference():
@@ -37,6 +40,8 @@ def test_consensus_error_max_over_edges():
     X[0, 1] = 0.25   # edge (0,1) differs by 0.25
     X[2, 2] = -1.0   # edge (1,2) differs by 1.0
     assert consensus_error(X, path(3)) == 1.0
+    X[1, 0] = np.nan  # a non-finite estimate is reported, not skipped
+    assert math.isnan(consensus_error(X, path(3)))
 
 
 def test_consensus_error_shape_check():
