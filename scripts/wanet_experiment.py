@@ -25,7 +25,7 @@ from nashadmm import (
     estimate_sigma_f,
     run,
 )
-from nashadmm.cli import _emit, emit_condition_report, write_trace
+from nashadmm.cli import _emit, emit_comparison, emit_condition_report, write_trace
 
 
 def main(argv=None) -> int:
@@ -74,16 +74,10 @@ def main(argv=None) -> int:
 
     report = compare(game, graph, cfg, BaselineConfig(max_iter=args.max_iter),
                      tol=args.tol)
-    write_trace(out / "trace_admm.csv", report.admm_result.records, graph.n)
-    write_trace(out / "trace_baseline.csv", report.baseline_result.records, graph.n)
-    _emit(race_tol=args.tol,
-          admm_iterations=report.admm_iterations,
-          baseline_iterations=report.baseline_iterations,
-          baseline_gamma=report.baseline_gamma,
-          ratio="none" if report.ratio is None else float(report.ratio))
-    for g, reason, iters in report.sweep_results:
-        print(f"sweep gamma={g!r} reason={reason} "
-              f"iterations={'none' if iters is None else iters}")
+    traces = {"trace_admm": out / "trace_admm.csv", "trace_baseline": out / "trace_baseline.csv"}
+    write_trace(traces["trace_admm"], report.admm_result.records, graph.n)
+    write_trace(traces["trace_baseline"], report.baseline_result.records, graph.n)
+    emit_comparison(report, **traces)
 
     ok = report.ratio is not None and report.ratio > 1.0
     _emit(ordering_holds=ok)

@@ -39,7 +39,6 @@ from .games import (
 from .graph import (
     CommGraph,
     complete,
-    graph_from_config,
     path,
     random_connected_graph,
     ring,
@@ -61,7 +60,7 @@ __all__ = [
     "ActionBox", "GameModel", "QuadraticGame", "SigmaEstimationError",
     "WanetGame", "default_wanet_instance", "estimate_sigma_f",
     "quadratic_ne", "random_quadratic_game",
-    "CommGraph", "complete", "graph_from_config", "path",
+    "CommGraph", "complete", "path",
     "random_connected_graph", "ring",
     "IterationRecord", "consensus_error", "m2_seminorm_distance", "ne_residual",
 ]

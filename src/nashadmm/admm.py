@@ -34,37 +34,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Solver parameters.
+class SettingError(ValueError):
+    """A solver setting outside its range; `field` names the setting."""
 
-    c is the consensus penalty coefficient (also the dual step scale); beta is
-    the per-player proximal weight, accepted as a scalar (broadcast) or a
-    per-player sequence. Iteration stops once consensus error and equilibrium
-    residual are both below their tolerances, or at max_iter.
-    """
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
 
-    c: float = 1.0
-    beta: float | tuple = 1.0
+
+def _check(ok: bool, field: str, reason: str) -> None:
+    if not ok:
+        raise SettingError(field, reason)
+
+
+@dataclass(frozen=True, kw_only=True)
+class StopRule:
+    """Both solvers stop once consensus error (the primal residual of Boyd et
+    al. 2011, section 3.3) and equilibrium residual are within tolerance, or at
+    max_iter; they record iteration 0, every record_every-th and the last."""
+
     max_iter: int = 5000
     tol_consensus: float = 1e-8
     tol_residual: float = 1e-6
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("penalty coefficient c must be positive")
+        _check(self.max_iter >= 0, "max_iter", "must be nonnegative")
+        _check(self.tol_consensus > 0, "tol_consensus", "must be positive")
+        _check(self.tol_residual > 0, "tol_residual", "must be positive")
+        _check(self.record_every >= 1, "record_every", "must be at least 1")
+
+
+@dataclass(frozen=True)
+class AdmmConfig(StopRule):
+    """Solver parameters.
+
+    c is the consensus penalty coefficient (also the dual step scale); beta is
+    the per-player proximal weight, accepted as a scalar (broadcast) or a
+    per-player sequence.
+    """
+
+    c: float = 1.0
+    beta: float | tuple = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check(self.c > 0, "c", "must be positive")
         b = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if np.any(b <= 0) or not np.all(np.isfinite(b)):
-            raise ValueError("proximal weights beta must be positive")
+        _check(b.size > 0 and np.all(b > 0) and np.all(np.isfinite(b)), "beta",
+               "must be a positive number or a nonempty list of them")
         beta = float(b[0]) if np.ndim(self.beta) == 0 else tuple(float(x) for x in b)
         object.__setattr__(self, "beta", beta)
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if not (self.tol_consensus > 0 and self.tol_residual > 0):
-            raise ValueError("tolerances must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
 
     def beta_vector(self, n: int) -> np.ndarray:
         b = np.asarray(self.beta, dtype=float)
@@ -191,18 +211,16 @@ def _make_record(state: SolverState, game: GameModel, graph: CommGraph,
 
 
 def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
-           max_iter: int, tol_consensus: float, tol_residual: float,
-           record_every: int) -> RunResult:
+           stop: StopRule) -> RunResult:
     """Shared iteration loop: step, measure, record, stop.
 
-    Records iteration 0, every record_every-th iteration, and always the final
-    one. Non-finite values abort with reason "diverged".
+    Non-finite values abort with reason "diverged".
     """
     t0 = time.perf_counter()
     ce = consensus_error(state.X, graph)
     nr = ne_residual(np.diagonal(state.X).copy(), game)
     records = [_make_record(state, game, graph, ce, nr, t0)]
-    if max_iter == 0:
+    if stop.max_iter == 0:
         return RunResult(state=state, records=records, reason="iteration budget")
 
     while True:
@@ -210,16 +228,16 @@ def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
         finite = bool(np.all(np.isfinite(state.X)) and np.all(np.isfinite(state.W)))
         ce = consensus_error(state.X, graph)
         nr = ne_residual(np.diagonal(state.X).copy(), game)
-        converged = finite and ce <= tol_consensus and nr <= tol_residual
-        last = (not finite) or converged or state.k >= max_iter
-        if last or state.k % record_every == 0:
+        converged = finite and ce <= stop.tol_consensus and nr <= stop.tol_residual
+        last = (not finite) or converged or state.k >= stop.max_iter
+        if last or state.k % stop.record_every == 0:
             records.append(_make_record(state, game, graph, ce, nr, t0))
         if not finite:
             return RunResult(state=state, records=records, reason="diverged",
                              diverged_at=state.k)
         if converged:
             return RunResult(state=state, records=records, reason="converged")
-        if state.k >= max_iter:
+        if state.k >= stop.max_iter:
             return RunResult(state=state, records=records, reason="iteration budget")
 
 
@@ -227,8 +245,7 @@ def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None) -> RunResul
     """Iterate `admm_step` from x0 until both tolerances hold or the budget ends."""
     state = init_state(game, graph, x0)
     step = lambda s: admm_step(s, game, graph, cfg)
-    return _drive(state, step, game, graph, cfg.max_iter,
-                  cfg.tol_consensus, cfg.tol_residual, cfg.record_every)
+    return _drive(state, step, game, graph, cfg)
 
 
 def condition_threshold(cfg: AdmmConfig, graph: CommGraph) -> float:

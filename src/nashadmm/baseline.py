@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import AdmmConfig, RunResult, SolverState, _drive, _player_gradients, init_state
+from .admm import (AdmmConfig, RunResult, SolverState, StopRule, _check, _drive,
+                   _player_gradients, init_state)
 from .games import GameModel
 from .graph import CommGraph
 
@@ -26,32 +27,21 @@ __all__ = [
     "compare",
 ]
 
-DEFAULT_SWEEP = (0.2, 0.1, 0.05, 0.02, 0.01)
-
 
 @dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(StopRule):
+    """Step size gamma, or the step sizes `compare` sweeps (None: gamma alone)."""
+
     gamma: float = 0.05
-    sweep: tuple = DEFAULT_SWEEP
-    max_iter: int = 5000
-    tol_consensus: float = 1e-8
-    tol_residual: float = 1e-6
-    record_every: int = 1
+    sweep: tuple = (0.2, 0.1, 0.05, 0.02, 0.01)
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("step size gamma must be positive")
+        super().__post_init__()
+        _check(self.gamma > 0, "gamma", "must be positive")
         if self.sweep is not None:
             sweep = tuple(float(g) for g in self.sweep)
-            if any(g <= 0 for g in sweep):
-                raise ValueError("swept step sizes must be positive")
+            _check(all(g > 0 for g in sweep), "sweep", "step sizes must be positive")
             object.__setattr__(self, "sweep", sweep)
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if not (self.tol_consensus > 0 and self.tol_residual > 0):
-            raise ValueError("tolerances must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
 
 
 def neighbor_average(X: np.ndarray, graph: CommGraph) -> np.ndarray:
@@ -83,8 +73,7 @@ def run_baseline(game: GameModel, graph: CommGraph, cfg: BaselineConfig,
     """Iterate `baseline_step` under the same stopping rule as the ADMM run."""
     state = init_state(game, graph, x0)
     step = lambda s: baseline_step(s, game, graph, cfg)
-    return _drive(state, step, game, graph, cfg.max_iter,
-                  cfg.tol_consensus, cfg.tol_residual, cfg.record_every)
+    return _drive(state, step, game, graph, cfg)
 
 
 @dataclass

@@ -13,11 +13,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
+from functools import cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .admm import AdmmConfig, check_condition, condition_threshold, run
+from .admm import AdmmConfig, SettingError, check_condition, condition_threshold, run
 from .baseline import BaselineConfig, compare
 from .games import (
     ActionBox,
@@ -27,33 +30,26 @@ from .games import (
     default_wanet_instance,
     estimate_sigma_f,
 )
-from .graph import graph_from_config
+from .graph import CommGraph, complete, path, random_connected_graph, ring
 
 TRACE_COLUMNS = ["k", "player", "action", "consensus_error", "ne_residual",
                  "guard_activations", "elapsed_us"]
+
+
+def _defaults(cls, *skip) -> dict:
+    """cls's field defaults as JSON values, less the fields in skip."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
+
 
 DEFAULT_CONFIG = {
     "seed": 7,
     "output_dir": ".",
     "game": {"type": "wanet", "seed": 7},
     "graph": {"type": "random", "n": 15, "extra_edges": 5, "seed": 7},
-    "admm": {
-        "c": 1.0,
-        "beta": 1.0,
-        "max_iter": 5000,
-        "tol_consensus": 1e-8,
-        "tol_residual": 1e-6,
-        "record_every": 1,
-        "x0": "zeros",
-    },
-    "baseline": {
-        "gamma": 0.05,
-        "sweep": [0.2, 0.1, 0.05, 0.02, 0.01],
-        "max_iter": 5000,
-        "tol_consensus": 1e-8,
-        "tol_residual": 1e-6,
-        "record_every": 1,
-    },
+    "admm": {**_defaults(AdmmConfig), "x0": "zeros"},
+    # compare sets both baseline tolerances to compare.tol, and a sweep overrides gamma
+    "baseline": _defaults(BaselineConfig, "gamma", "tol_consensus", "tol_residual"),
     "compare": {"tol": 1e-4},
 }
 
@@ -72,11 +68,59 @@ def _require(block: dict, key: str, path: str):
     return block[key]
 
 
-def _block(cfg: dict, key: str) -> dict:
-    blk = _require(cfg, key, "config")
+def _block(cfg: dict, key: str, optional: bool = False, path: str = "config") -> dict:
+    if optional and key not in cfg:
+        return {}
+    blk = _require(cfg, key, path)
     if not isinstance(blk, dict):
-        raise ConfigError(f"config.{key}", "must be an object")
+        raise ConfigError(f"{path}.{key}", "must be an object")
     return blk
+
+
+def _read(v, path: str, kind: type = float, depths: tuple = (0,)):
+    """v as a finite number of `kind`, or lists of them nested `depths` levels deep."""
+    if type(v) in (int, float) and 0 in depths:  # type(True) is bool
+        if kind is int and (type(v) is int or v.is_integer()):
+            return int(v)
+        if kind is float and abs(v) <= sys.float_info.max:
+            return float(v)
+    elif type(v) is list and any(depths):
+        inner = tuple(d - 1 for d in depths if d)
+        return [_read(x, f"{path}[{i}]", kind, inner) for i, x in enumerate(v)]
+    want = "a list" if 0 not in depths else "an integer" if kind is int else "a finite number"
+    raise ConfigError(path, f"must be {want}, got {json.dumps(v)}")
+
+
+def _array(v, path: str, depths: tuple) -> np.ndarray:
+    try:
+        return np.array(_read(v, path, float, depths))
+    except ValueError:
+        raise ConfigError(path, "rows must have equal lengths")
+
+
+def _seed(v, path: str) -> int:
+    seed = _read(v, path, int)
+    if seed < 0:
+        raise ConfigError(path, "must be nonnegative")
+    return seed
+
+
+@cache
+def _kinds(cls) -> dict:
+    """Field -> _read's (kind, depths) by annotation: int, float, tuple (a list), else either."""
+    plain = {int: (int, (0,)), float: (float, (0,)), tuple: (float, (1,))}
+    return {name: plain.get(t, (float, (0, 1))) for name, t in get_type_hints(cls).items()}
+
+
+def read_settings(cls, block: dict, path: str):
+    """cls built from the fields block sets, each read as its kind; a value the
+    reader or cls rejects is a ConfigError naming the field."""
+    kwargs = {name: _read(block[name], f"{path}.{name}", *kind)
+              for name, kind in _kinds(cls).items() if name in block}
+    try:
+        return cls(**kwargs)
+    except SettingError as e:
+        raise ConfigError(f"{path}.{e.field}", e.reason)
 
 
 def load_config(path: str) -> dict:
@@ -89,69 +133,63 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
-    if "seed" not in cfg:
-        raise ConfigError("config.seed", "required field missing (runs must be reproducible)")
     return cfg
 
 
 def _as_bounds(raw, n: int, path: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(raw, dtype=float))
-    if arr.shape == (1,):
-        return np.full(n, arr[0])
-    if arr.shape != (n,):
+    arr = np.atleast_1d(_array(raw, path, (0, 1)))
+    if arr.shape not in ((1,), (n,)):
         raise ConfigError(path, f"expected a scalar or {n} values")
-    return arr
+    return np.broadcast_to(arr, (n,))
 
 
 def build_game(block: dict, default_seed: int):
     kind = block.get("type")
-    if kind == "quadratic":
-        try:
-            a = np.asarray(_require(block, "a", "game"), dtype=float)
-            B = np.asarray(_require(block, "B", "game"), dtype=float)
-            d = np.asarray(_require(block, "d", "game"), dtype=float)
-            box_blk = _require(block, "box", "game")
-            if not isinstance(box_blk, dict):
-                raise ConfigError("game.box", "must be an object with lower/upper")
-            n = a.shape[0]
-            lower = _as_bounds(_require(box_blk, "lower", "game.box"), n, "game.box.lower")
-            upper = _as_bounds(_require(box_blk, "upper", "game.box"), n, "game.box.upper")
-            return QuadraticGame(a, B, d, ActionBox(lower, upper))
-        except (ValueError, TypeError, OverflowError) as e:
-            raise ConfigError("game", str(e))
-    if kind == "wanet":
-        try:
-            seed = int(block.get("seed", default_seed))
-            if "routes" in block:
-                routes = block["routes"]
-                if not routes:
-                    raise ConfigError("game.routes", "must list at least one route")
-                caps = block.get("capacities")
-                if caps is None:
-                    n_links = 1 + max(max(r) for r in routes if r)
-                    caps = np.full(n_links, 10.0)
-            else:
-                base, _ = default_wanet_instance(seed)
-                routes = base.routes
-                caps = block.get("capacities", base.capacities)
-            return WanetGame(
-                capacities=np.asarray(caps, dtype=float),
-                routes=routes,
-                kappa=float(block.get("kappa", 1.0)),
-                chi=block.get("chi", 10.0),
-                eps_guard=float(block.get("eps_guard", 1e-6)),
-            )
-        except (ValueError, TypeError, OverflowError) as e:
-            raise ConfigError("game", str(e))
-    raise ConfigError("game.type", f"unknown game type {kind!r}")
-
-
-def build_graph(block: dict, default_seed: int):
-    if block.get("type") == "random" and "seed" not in block:
-        block = {**block, "seed": default_seed}
+    if kind not in ("quadratic", "wanet"):
+        raise ConfigError("game.type", f"unknown game type {kind!r}")
     try:
-        return graph_from_config(block)
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
+        if kind == "quadratic":
+            a, B, d = (_array(_require(block, k, "game"), f"game.{k}", (depth,))
+                       for k, depth in (("a", 1), ("B", 2), ("d", 1)))
+            box_blk = _block(block, "box", path="game")
+            lower, upper = (_as_bounds(_require(box_blk, k, "game.box"), len(a), f"game.box.{k}")
+                            for k in ("lower", "upper"))
+            return QuadraticGame(a, B, d, ActionBox(lower, upper))
+        if "routes" in block:
+            routes = _read(block["routes"], "game.routes", int, (2,))
+            if not routes:
+                raise ConfigError("game.routes", "must list at least one route")
+            caps = np.full(1 + max(max(r, default=0) for r in routes), 10.0)
+        else:
+            base, _ = default_wanet_instance(_seed(block.get("seed", default_seed), "game.seed"))
+            routes, caps = base.routes, base.capacities
+        if "capacities" in block:
+            caps = _array(block["capacities"], "game.capacities", (1,))
+        params = {k: _read(block[k], f"game.{k}", float, (0, 1) if k == "chi" else (0,))
+                  for k in ("kappa", "chi", "eps_guard") if k in block}
+        return WanetGame(capacities=caps, routes=routes, **params)
+    except ValueError as e:
+        raise ConfigError("game", str(e))
+
+
+def build_graph(block: dict, default_seed: int) -> CommGraph:
+    """Accepted forms: {"type": "ring"|"complete"|"path", "n": int},
+    {"type": "random", "n": int, "extra_edges": int, "seed": int} (seed
+    defaults to the config's), {"type": "explicit", "n": int, "edges": [[i, j], ...]}."""
+    kind = block.get("type")
+    if kind not in ("ring", "complete", "path", "random", "explicit"):
+        raise ConfigError("graph.type", f"unknown graph type {kind!r}")
+    n = _read(_require(block, "n", "graph"), "graph.n", int)
+    try:
+        if kind == "random":
+            return random_connected_graph(
+                n, _read(block.get("extra_edges", 0), "graph.extra_edges", int),
+                _seed(block.get("seed", default_seed), "graph.seed"))
+        if kind == "explicit":
+            edges = _read(_require(block, "edges", "graph"), "graph.edges", int, (2,))
+            return CommGraph(n, frozenset(tuple(e) for e in edges))
+        return {"ring": ring, "complete": complete, "path": path}[kind](n)
+    except ValueError as e:
         raise ConfigError("graph", str(e))
 
 
@@ -159,54 +197,22 @@ def build_admm(block: dict):
     x0 = block.get("x0", "zeros")
     if isinstance(x0, str) and x0 != "zeros":
         raise ConfigError("admm.x0", f"unknown preset {x0!r}")
-    try:
-        cfg = AdmmConfig(
-            c=float(block.get("c", 1.0)),
-            beta=_scalar_or_tuple(block.get("beta", 1.0)),
-            max_iter=int(block.get("max_iter", 5000)),
-            tol_consensus=float(block.get("tol_consensus", 1e-8)),
-            tol_residual=float(block.get("tol_residual", 1e-6)),
-            record_every=int(block.get("record_every", 1)),
-        )
-        x0 = None if isinstance(x0, str) else np.asarray(x0, dtype=float)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ConfigError("admm", str(e))
-    return cfg, x0
+    x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1, 2))
+    return read_settings(AdmmConfig, block, "admm"), x0
 
 
-def _scalar_or_tuple(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(float(x) for x in v)
-    return float(v)
-
-
-def build_baseline(block: dict):
-    try:
-        sweep = block.get("sweep")
-        gamma = float(block.get("gamma", 0.05))
-        if sweep is None:
-            sweep = (gamma,) if "gamma" in block else BaselineConfig().sweep
-        return BaselineConfig(
-            gamma=gamma,
-            sweep=tuple(float(g) for g in sweep),
-            max_iter=int(block.get("max_iter", 5000)),
-            tol_consensus=float(block.get("tol_consensus", 1e-8)),
-            tol_residual=float(block.get("tol_residual", 1e-6)),
-            record_every=int(block.get("record_every", 1)),
-        )
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ConfigError("baseline", str(e))
+def build_baseline(block: dict) -> BaselineConfig:
+    if "gamma" in block and "sweep" not in block:
+        block = {**block, "sweep": [block["gamma"]]}
+    return read_settings(BaselineConfig, block, "baseline")
 
 
 def _output_dir(cfg: dict, flag_value) -> Path:
-    if flag_value:
-        d = Path(flag_value)
-    elif os.environ.get("NASHADMM_OUTPUT_DIR"):
-        d = Path(os.environ["NASHADMM_OUTPUT_DIR"])
-    else:
-        d = Path(cfg.get("output_dir", "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    d = flag_value or os.environ.get("NASHADMM_OUTPUT_DIR") or cfg.get("output_dir", ".")
+    if not isinstance(d, str):
+        raise ConfigError("config.output_dir", f"must be a path string, got {json.dumps(d)}")
+    Path(d).mkdir(parents=True, exist_ok=True)
+    return Path(d)
 
 
 def write_trace(path: Path, records, n_players: int, timing: bool = False):
@@ -233,7 +239,7 @@ def _fmt(v) -> str:
         return repr(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    return str(v)
+    return "none" if v is None else str(v)
 
 
 def _emit(**pairs):
@@ -241,15 +247,20 @@ def _emit(**pairs):
         print(f"{k}={_fmt(v)}")
 
 
-def cmd_run(args) -> int:
+def _setup(args):
+    """The config, its seed and the communication graph every command starts from."""
     cfg = load_config(args.config)
-    seed = int(cfg["seed"])
+    seed = _seed(_require(cfg, "seed", "config"), "config.seed")
+    return cfg, seed, build_graph(_block(cfg, "graph"), seed)
+
+
+def cmd_run(args) -> int:
+    cfg, seed, graph = _setup(args)
     game = build_game(_block(cfg, "game"), seed)
-    graph = build_graph(_block(cfg, "graph"), seed)
     admm_cfg, x0 = build_admm(_block(cfg, "admm"))
+    out = _output_dir(cfg, args.output_dir)
     result = run(game, graph, admm_cfg, x0=x0)
 
-    out = _output_dir(cfg, args.output_dir)
     trace = out / "trace.csv"
     write_trace(trace, result.records, graph.n, timing=args.timing)
 
@@ -271,42 +282,36 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    seed = int(cfg["seed"])
+    cfg, seed, graph = _setup(args)
     game = build_game(_block(cfg, "game"), seed)
-    graph = build_graph(_block(cfg, "graph"), seed)
     admm_cfg, x0 = build_admm(_block(cfg, "admm"))
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
-    tol = float(cfg.get("compare", {}).get("tol", 1e-4))
+    tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
+                "compare.tol")
+    if not tol > 0:
+        raise ConfigError("compare.tol", "must be positive")
+    out = _output_dir(cfg, args.output_dir)
     report = compare(game, graph, admm_cfg, baseline_cfg, tol, x0=x0)
 
-    out = _output_dir(cfg, args.output_dir)
     trace_a = out / "trace_admm.csv"
     trace_b = out / "trace_baseline.csv"
     write_trace(trace_a, report.admm_result.records, graph.n, timing=args.timing)
     write_trace(trace_b, report.baseline_result.records, graph.n, timing=args.timing)
-
-    _emit(
-        tol=tol,
-        admm_reason=report.admm_reason,
-        admm_iterations="none" if report.admm_iterations is None else report.admm_iterations,
-        baseline_reason=report.baseline_reason,
-        baseline_iterations="none" if report.baseline_iterations is None else report.baseline_iterations,
-        baseline_gamma="none" if report.baseline_gamma is None else float(report.baseline_gamma),
-        ratio="none" if report.ratio is None else float(report.ratio),
-        trace_admm=trace_a,
-        trace_baseline=trace_b,
-    )
-    for g, reason, iters in report.sweep_results:
-        print(f"sweep gamma={_fmt(float(g))} reason={reason} "
-              f"iterations={'none' if iters is None else iters}")
+    emit_comparison(report, trace_admm=trace_a, trace_baseline=trace_b)
     return 0
 
 
+def emit_comparison(report, **trace_paths) -> None:
+    """Print a race: tolerance, outcomes, trace paths, then one line per swept step size."""
+    _emit(tol=report.tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,
+          baseline_reason=report.baseline_reason, baseline_iterations=report.baseline_iterations,
+          baseline_gamma=report.baseline_gamma, ratio=report.ratio, **trace_paths)
+    for g, reason, iters in report.sweep_results:
+        print(f"sweep gamma={_fmt(g)} reason={reason} iterations={_fmt(iters)}")
+
+
 def cmd_check(args) -> int:
-    cfg = load_config(args.config)
-    seed = int(cfg["seed"])
-    graph = build_graph(_block(cfg, "graph"), seed)
+    cfg, seed, graph = _setup(args)
     connected = graph.is_connected()
     _emit(connected=connected)
     if not connected:
@@ -314,12 +319,12 @@ def cmd_check(args) -> int:
               "is not connected)", file=sys.stderr)
         return 1
 
-    admm_cfg, _ = build_admm(cfg.get("admm", {}))
+    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True))
 
     def sigma_f():
         given = cfg.get("sigma_f") if args.sigma_f is None else args.sigma_f
         if given is not None:
-            return float(given), "given"
+            return _read(given, "sigma_f"), "given"
         game = build_game(_block(cfg, "game"), seed)
         if game.n_players != graph.n:
             raise ConfigError("game", "player count disagrees with graph size")
@@ -357,8 +362,7 @@ def emit_condition_report(graph, admm_cfg: AdmmConfig, sigma_f) -> None:
 
 
 def cmd_spectra(args) -> int:
-    cfg = load_config(args.config)
-    graph = build_graph(_block(cfg, "graph"), int(cfg["seed"]))
+    _, _, graph = _setup(args)
     deg = graph.degrees()
     _emit(n=graph.n, edges=len(graph.edges), connected=graph.is_connected())
     if not graph.is_connected():
@@ -424,10 +428,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ logarithmic utility for their own throughput.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +58,6 @@ class ActionBox:
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the box (componentwise clip)."""
         return np.clip(x, self.lower, self.upper)
-
-    def project_coord(self, i: int, v: float) -> float:
-        return float(min(max(v, self.lower[i]), self.upper[i]))
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -116,9 +114,13 @@ class QuadraticGame(GameModel):
         self.a = np.asarray(a, dtype=float)
         self.B = np.asarray(B, dtype=float)
         self.d = np.asarray(d, dtype=float)
+        if self.a.ndim != 1:
+            raise ValueError("a must be a 1-d array of own-curvatures")
         n = self.a.shape[0]
         if self.B.shape != (n, n) or self.d.shape != (n,):
             raise ValueError("a, B, d dimensions disagree")
+        if not all(np.isfinite(v).all() for v in (self.a, self.B, self.d)):
+            raise ValueError("a, B and d must be finite")
         if np.any(self.a <= 0):
             raise ValueError("own-curvatures a_i must be positive")
         if np.any(np.diagonal(self.B) != 0.0):
@@ -202,6 +204,8 @@ class WanetGame(GameModel):
     def __init__(self, capacities, routes, kappa=1.0, chi=10.0,
                  eps_guard=1e-6, action_box: ActionBox | None = None):
         self.capacities = np.asarray(capacities, dtype=float)
+        if self.capacities.ndim != 1:
+            raise ValueError("capacities must be a 1-d array, one per link")
         self.n_links = self.capacities.shape[0]
         self.routes = tuple(tuple(sorted(set(int(j) for j in r))) for r in routes)
         self.n_users = len(self.routes)
@@ -211,6 +215,9 @@ class WanetGame(GameModel):
         self.chi = np.full(self.n_users, float(chi)) if chi.ndim == 0 else chi.copy()
         self.eps_guard = float(eps_guard)
 
+        if not (np.isfinite(self.capacities).all() and np.isfinite(self.chi).all()
+                and math.isfinite(self.kappa) and math.isfinite(self.eps_guard)):
+            raise ValueError("capacities, kappa, chi and eps_guard must be finite")
         if np.any(self.capacities <= 0):
             raise ValueError("link capacities must be positive")
         if self.kappa <= 0 or self.eps_guard <= 0:

@@ -20,7 +20,6 @@ __all__ = [
     "complete",
     "path",
     "random_connected_graph",
-    "graph_from_config",
 ]
 
 
@@ -79,10 +78,6 @@ class CommGraph:
         if not (0 <= i < self.n):
             raise IndexError(f"node {i} out of range for n={self.n}")
         return list(self._nbrs[i])
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Neighbor list for every node, index-aligned."""
-        return [list(l) for l in self._nbrs]
 
     def degrees(self) -> np.ndarray:
         """Vector of node degrees |N_i|."""
@@ -153,14 +148,6 @@ class CommGraph:
         self._require_connected()
         return float(np.linalg.eigvalsh(self.normalized_laplacian())[-1])
 
-    def spectra(self) -> dict[str, np.ndarray]:
-        """Full ascending spectra of D+A and L_N (connected graphs only)."""
-        self._require_connected()
-        return {
-            "d_plus_a": np.linalg.eigvalsh(self.d_plus_a()),
-            "normalized_laplacian": np.linalg.eigvalsh(self.normalized_laplacian()),
-        }
-
 
 def ring(n: int) -> CommGraph:
     """Cycle over 0..n-1 (a single edge for n = 2)."""
@@ -203,23 +190,3 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> CommGraph:
     picks = rng.choice(len(pool), size=extra_edges, replace=False) if extra_edges else []
     chords = {pool[int(p)] for p in picks}
     return CommGraph(n, base.edges | chords)
-
-
-def graph_from_config(block: dict) -> CommGraph:
-    """Build a graph from a config mapping.
-
-    Accepted forms: {"type": "ring"|"complete"|"path", "n": int},
-    {"type": "random", "n": int, "extra_edges": int, "seed": int},
-    {"type": "explicit", "n": int, "edges": [[i, j], ...]}.
-    """
-    kind = block.get("type")
-    if kind in ("ring", "complete", "path"):
-        ctor = {"ring": ring, "complete": complete, "path": path}[kind]
-        return ctor(int(block["n"]))
-    if kind == "random":
-        return random_connected_graph(
-            int(block["n"]), int(block.get("extra_edges", 0)), int(block["seed"])
-        )
-    if kind == "explicit":
-        return CommGraph(int(block["n"]), frozenset(tuple(e) for e in block["edges"]))
-    raise ValueError(f"unknown graph type {kind!r}")

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nashadmm import cli
 
@@ -188,20 +190,105 @@ def test_quadratic_missing_field_names_path(tmp_path, capsys):
     assert "game.a" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("block, field, value", [
-    ("admm", "max_iter", 1e999),       # int(inf): OverflowError
-    ("admm", "x0", {"a": 1}),          # float(dict): TypeError
-    ("game", "routes", [["a"]]),       # 1 + max(["a"]): TypeError
-    ("graph", "n", 1e999),             # int(inf): OverflowError
-], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n"])
-def test_bad_field_value_is_a_config_error(tmp_path, capsys, block, field, value):
+WANET_CAPS = {"type": "wanet", "routes": [[0], [0, 1], [1]]}
+QUAD_SCALAR_A = {**QUAD["game"], "a": 2.0}
+
+
+def _set(cfg: dict, dotted: str, value) -> None:
+    *blocks, key = dotted.split(".")
+    for b in blocks:
+        cfg = cfg[b]
+    cfg[key] = value
+
+
+@pytest.mark.parametrize("command, key, value, path", [
+    ("run", "admm.max_iter", 1e999, "admm.max_iter"),
+    ("run", "admm.x0", {"a": 1}, "admm.x0"),
+    ("run", "game.routes", [["a"]], "game.routes[0][0]"),
+    ("run", "graph.n", 1e999, "graph.n"),
+    ("run", "seed", 1e999, "config.seed"),
+    ("spectra", "seed", [1], "config.seed"),
+    ("run", "output_dir", None, "config.output_dir"),
+    ("compare", "output_dir", -1, "config.output_dir"),
+    ("compare", "compare", [1], "config.compare"),
+    ("compare", "compare.tol", "abc", "compare.tol"),
+    ("run", "admm.max_iter", True, "admm.max_iter"),
+    ("run", "admm.record_every", 2.7, "admm.record_every"),
+    ("run", "admm.max_iter", "5000", "admm.max_iter"),
+    ("run", "admm.c", -1, "admm.c"),
+    ("check", "admm.beta", [], "admm.beta"),
+    ("compare", "baseline.sweep", [0.1, -1], "baseline.sweep"),
+    ("compare", "baseline.max_iter", -1, "baseline.max_iter"),
+    ("compare", "baseline.gamma", "x", "baseline.gamma"),
+    ("run", "graph.seed", 0.5, "graph.seed"),
+    ("run", "game", QUAD_SCALAR_A, "game.a"),
+    ("run", "game", {**WANET_CAPS, "capacities": None}, "game.capacities"),
+    ("run", "game", {**WANET_CAPS, "capacities": 10.0}, "game.capacities"),
+    ("run", "game", {**WANET_CAPS, "capacities": [10.0, float("nan")]}, "game.capacities[1]"),
+    ("run", "game.routes", [None], "game.routes[0]"),
+], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n", "seed-inf", "seed-list",
+        "output_dir-null", "output_dir-number", "compare-list", "compare.tol-string",
+        "max_iter-bool", "record_every-fraction", "max_iter-string", "c-negative", "beta-empty",
+        "sweep-negative", "baseline.max_iter-negative", "gamma-string", "graph.seed-fraction",
+        "quadratic-scalar-a", "capacities-null", "capacities-scalar", "capacities-nan",
+        "routes-null"])
+def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, command, key, value,
+                                           path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
     cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
-    cfg[block][field] = value
-    rc = cli.main(["run", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
+    _set(cfg, key, value)
+    rc = cli.main([command, write_cfg(tmp_path, cfg)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(f"error: {block}: ")
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_old_baseline_keys_still_load(tmp_path, capsys):
+    cfg = copy.deepcopy(QUAD)
+    cfg["baseline"] = {"gamma": 0.1, "max_iter": 3000, "tol_consensus": 1e-300,
+                       "tol_residual": 5.0}
+    rc = cli.main(["compare", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    # a gamma without a sweep is a sweep over that one step size
+    assert [l for l in out.splitlines() if l.startswith("sweep ")] == [
+        "sweep gamma=0.1 reason=converged iterations=" + kv(out)["baseline_iterations"]]
+
+
+CAP = 20
+MUTATIONS = [None, True, "x", [], {}, [None], -1, 0.5, float("inf"), float("nan")]
+
+
+def _dotted_keys(cfg: dict, prefix: str = ""):
+    for k, v in cfg.items():
+        yield prefix + k
+        if isinstance(v, dict):
+            yield from _dotted_keys(v, prefix + k + ".")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["run", "check", "compare"]),
+       st.lists(st.tuples(st.sampled_from(list(_dotted_keys(cli.DEFAULT_CONFIG))),
+                          st.sampled_from(MUTATIONS)), min_size=1, max_size=2))
+def test_mutated_default_config_never_raises(tmp_path, capsys, monkeypatch, command, mutations):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["admm"]["max_iter"] = cfg["baseline"]["max_iter"] = CAP
+    for key, value in mutations:
+        try:
+            _set(cfg, key, copy.deepcopy(value))
+        except TypeError:
+            pass  # an earlier mutation replaced the enclosing block
+    for block in ("admm", "baseline"):  # keep the cap when a mutation empties a solver block
+        if isinstance(cfg.get(block), dict):
+            cfg[block].setdefault("max_iter", CAP)
+    rc = cli.main([command, write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert rc != 1 or err.startswith("error: ")
 
 
 def test_unknown_graph_type(tmp_path, capsys):

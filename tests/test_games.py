@@ -37,7 +37,6 @@ def test_box_project_and_contains():
     assert np.array_equal(box.project([2.0, -3.0]), [1.0, -1.0])
     assert box.contains([0.5, 0.0])
     assert not box.contains([1.5, 0.0])
-    assert box.project_coord(0, -5.0) == 0.0
 
 
 def test_box_arrays_read_only():
@@ -84,6 +83,10 @@ def test_quadratic_validation():
         QuadraticGame([1.0, 1.0], np.eye(2), [0.0, 0.0], box)
     with pytest.raises(ValueError):
         QuadraticGame([1.0, 1.0], np.zeros((3, 3)), [0.0, 0.0], box)
+    with pytest.raises(ValueError):
+        QuadraticGame(2.0, np.zeros((1, 1)), [0.0], ActionBox.cube(1, -1, 1))
+    with pytest.raises(ValueError):
+        QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, np.nan], box)
 
 
 def test_quadratic_ne_decoupled():
@@ -201,6 +204,11 @@ def test_wanet_validation():
         WanetGame([1.0], [[0]], kappa=0.0)
     with pytest.raises(ValueError):
         WanetGame([1.0], [[0]], chi=-1.0)
+    for caps in (None, 10.0, [np.nan]):
+        with pytest.raises(ValueError):
+            WanetGame(caps, [[0]])
+    with pytest.raises(ValueError):
+        WanetGame([1.0], [[0]], kappa=np.inf)
 
 
 def test_wanet_convex_along_own_coordinate(wanet_default):

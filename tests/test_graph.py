@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashadmm import CommGraph, complete, graph_from_config, path, random_connected_graph, ring
+from nashadmm import CommGraph, complete, path, random_connected_graph, ring
+from nashadmm.cli import ConfigError, build_graph
 
 from oracles import charpoly_eigs, normalized_laplacian_eigs_exact
 
@@ -165,12 +166,13 @@ def test_normalized_laplacian_rejects_isolated_node():
 
 
 def test_graph_from_config_forms():
-    assert graph_from_config({"type": "ring", "n": 5}).edges == ring(5).edges
-    assert graph_from_config({"type": "complete", "n": 4}).edges == complete(4).edges
-    assert graph_from_config({"type": "path", "n": 3}).edges == path(3).edges
-    r = graph_from_config({"type": "random", "n": 10, "extra_edges": 3, "seed": 5})
+    assert build_graph({"type": "ring", "n": 5}, 0).edges == ring(5).edges
+    assert build_graph({"type": "complete", "n": 4}, 0).edges == complete(4).edges
+    assert build_graph({"type": "path", "n": 3}, 0).edges == path(3).edges
+    r = build_graph({"type": "random", "n": 10, "extra_edges": 3, "seed": 5}, 0)
     assert r.edges == random_connected_graph(10, 3, 5).edges
-    e = graph_from_config({"type": "explicit", "n": 3, "edges": [[0, 1], [1, 2]]})
+    assert build_graph({"type": "random", "n": 10, "extra_edges": 3}, 5).edges == r.edges
+    e = build_graph({"type": "explicit", "n": 3, "edges": [[0, 1], [1, 2]]}, 0)
     assert e.edges == path(3).edges
-    with pytest.raises(ValueError):
-        graph_from_config({"type": "torus", "n": 3})
+    with pytest.raises(ConfigError):
+        build_graph({"type": "torus", "n": 3}, 0)
