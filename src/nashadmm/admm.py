@@ -91,7 +91,7 @@ class AdmmConfig(StopRule):
         if b.ndim == 0:
             return np.full(n, float(b))
         if b.shape != (n,):
-            raise ValueError(f"beta has {b.shape[0]} entries for {n} players")
+            raise SettingError("beta", f"has {b.shape[0]} entries for {n} players")
         return b
 
 
@@ -124,6 +124,18 @@ class RunResult:
     diverged_at: int | None = None
 
 
+def estimate_rows(x0, n: int) -> np.ndarray:
+    """x0 as an n-by-n estimate matrix: a profile (default 0) copied to every
+    row, or an n-by-n matrix taken as is."""
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape == (n,):
+        return np.tile(x0, (n, 1))
+    if x0.shape == (n, n):
+        return x0.copy()
+    raise SettingError("x0", f"must have {n} coordinates" if x0.ndim == 1 else
+                       "must be a profile of length n or an n-by-n estimate matrix")
+
+
 def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
     """Fresh solver state at k = 0: rows broadcast from x0 (default 0), W = 0."""
     n = graph.n
@@ -133,27 +145,11 @@ def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
         raise ValueError("solver needs n >= 2 (single-player games are plain minimization)")
     if not graph.is_connected():
         raise ValueError("communication graph must be connected")
-    if x0 is None:
-        x0 = np.zeros(n)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        if x0.shape != (n,):
-            raise ValueError(f"x0 must have {n} coordinates")
-        X = np.tile(x0, (n, 1))
-    elif x0.shape == (n, n):
-        X = x0.copy()
-    else:
-        raise ValueError("x0 must be a profile of length n or an n-by-n estimate matrix")
-    box = game.action_box
-    for i in range(n):
-        if not box.contains(X[i]):
-            raise ValueError(f"initial estimate row {i} is outside the action box")
+    X = estimate_rows(x0, n)
+    outside = np.flatnonzero(np.any(X != game.action_box.project(X), axis=1))
+    if outside.size:
+        raise ValueError(f"initial estimate row {outside[0]} is outside the action box")
     return SolverState(X=X, W=np.zeros_like(X), k=0)
-
-
-def _player_gradients(game: GameModel, X: np.ndarray) -> np.ndarray:
-    """grad_i of each player's own cost at their own estimate row."""
-    return np.array([game.grad_i(i, X[i]) for i in range(X.shape[0])])
 
 
 def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
@@ -168,8 +164,8 @@ def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
        consuming the *pre-update* w^i
     3. own coordinate, with alpha_i = beta_i + 2 c |N_i|:
        x^i_i <- Proj_i[ ((beta_i + c |N_i|) x^i_i - w^i_i,new
-                          - grad_i(x^i) + c sum_j x^j_i) / alpha_i ],
-       consuming the *post-update* w^i and the gradient at the old row.
+                          - F_i(x^i) + c sum_j x^j_i) / alpha_i ],
+       consuming the *post-update* w^i and `game.own_gradients` at the old rows.
 
     The staggered w indices are what make this recursion match the explicit
     multiplier form step for step.
@@ -187,27 +183,17 @@ def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
     alpha = beta + 2.0 * cfg.c * deg
     X_new = S / deg[:, None] - W / (2.0 * cfg.c * deg[:, None])
 
-    grads = _player_gradients(game, X)
-    own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(W_new) - grads \
-        + cfg.c * np.diagonal(S)
-    box = game.action_box
-    idx = np.arange(n)
-    X_new[idx, idx] = np.clip(own_num / alpha, box.lower, box.upper)
+    own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(W_new) \
+        - game.own_gradients(X) + cfg.c * np.diagonal(S)
+    np.fill_diagonal(X_new, game.action_box.project(own_num / alpha))
     return SolverState(X=X_new, W=W_new, k=state.k + 1)
 
 
-def _make_record(state: SolverState, game: GameModel, graph: CommGraph,
-                 ce: float, nr: float, t0: float) -> IterationRecord:
-    actions = np.diagonal(state.X).copy()
-    guards = sum(game.clamped_terms(i, state.X[i]) for i in range(graph.n))
-    return IterationRecord(
-        k=state.k,
-        actions=actions,
-        consensus_error=ce,
-        ne_residual=nr,
-        guard_activations=guards,
-        elapsed=time.perf_counter() - t0,
-    )
+def _make_record(state: SolverState, game: GameModel, ce: float, nr: float,
+                 t0: float) -> IterationRecord:
+    return IterationRecord(k=state.k, actions=np.diagonal(state.X).copy(), consensus_error=ce,
+                           ne_residual=nr, guard_activations=game.guard_activations(state.X),
+                           elapsed=time.perf_counter() - t0)
 
 
 def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
@@ -219,7 +205,7 @@ def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
     t0 = time.perf_counter()
     ce = consensus_error(state.X, graph)
     nr = ne_residual(np.diagonal(state.X).copy(), game)
-    records = [_make_record(state, game, graph, ce, nr, t0)]
+    records = [_make_record(state, game, ce, nr, t0)]
     if stop.max_iter == 0:
         return RunResult(state=state, records=records, reason="iteration budget")
 
@@ -231,7 +217,7 @@ def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
         converged = finite and ce <= stop.tol_consensus and nr <= stop.tol_residual
         last = (not finite) or converged or state.k >= stop.max_iter
         if last or state.k % stop.record_every == 0:
-            records.append(_make_record(state, game, graph, ce, nr, t0))
+            records.append(_make_record(state, game, ce, nr, t0))
         if not finite:
             return RunResult(state=state, records=records, reason="diverged",
                              diverged_at=state.k)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import (AdmmConfig, RunResult, SolverState, StopRule, _check, _drive,
-                   _player_gradients, init_state)
+from .admm import AdmmConfig, RunResult, SolverState, StopRule, _check, _drive, init_state
 from .games import GameModel
 from .graph import CommGraph
 
@@ -59,12 +58,9 @@ def baseline_step(state: SolverState, game: GameModel, graph: CommGraph,
                   cfg: BaselineConfig) -> SolverState:
     """Averaging on the non-own coordinates, projected gradient on the own one."""
     X = state.X
-    n = graph.n
     X_new = neighbor_average(X, graph)
-    grads = _player_gradients(game, X)
-    box = game.action_box
-    idx = np.arange(n)
-    X_new[idx, idx] = np.clip(np.diagonal(X) - cfg.gamma * grads, box.lower, box.upper)
+    own = np.diagonal(X) - cfg.gamma * game.own_gradients(X)
+    np.fill_diagonal(X_new, game.action_box.project(own))
     return SolverState(X=X_new, W=state.W, k=state.k + 1)
 
 

@@ -20,7 +20,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .admm import AdmmConfig, SettingError, check_condition, condition_threshold, run
+from .admm import (AdmmConfig, SettingError, check_condition, condition_threshold, estimate_rows,
+                   run)
 from .baseline import BaselineConfig, compare
 from .games import (
     ActionBox,
@@ -193,12 +194,19 @@ def build_graph(block: dict, default_seed: int) -> CommGraph:
         raise ConfigError("graph", str(e))
 
 
-def build_admm(block: dict):
+def build_admm(block: dict, n: int):
+    """Solver settings and x0 for n players, sized by the library's own rules."""
     x0 = block.get("x0", "zeros")
     if isinstance(x0, str) and x0 != "zeros":
         raise ConfigError("admm.x0", f"unknown preset {x0!r}")
     x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1, 2))
-    return read_settings(AdmmConfig, block, "admm"), x0
+    cfg = read_settings(AdmmConfig, block, "admm")
+    try:
+        cfg.beta_vector(n)
+        estimate_rows(x0, n)
+    except SettingError as e:
+        raise ConfigError(f"admm.{e.field}", e.reason)
+    return cfg, x0
 
 
 def build_baseline(block: dict) -> BaselineConfig:
@@ -208,10 +216,17 @@ def build_baseline(block: dict) -> BaselineConfig:
 
 
 def _output_dir(cfg: dict, flag_value) -> Path:
-    d = flag_value or os.environ.get("NASHADMM_OUTPUT_DIR") or cfg.get("output_dir", ".")
+    """The trace directory, created if missing; errors name where its path came from."""
+    env = os.environ.get("NASHADMM_OUTPUT_DIR")
+    source, d = (("--output-dir", flag_value) if flag_value else
+                 ("NASHADMM_OUTPUT_DIR", env) if env else
+                 ("config.output_dir", cfg.get("output_dir", ".")))
     if not isinstance(d, str):
-        raise ConfigError("config.output_dir", f"must be a path string, got {json.dumps(d)}")
-    Path(d).mkdir(parents=True, exist_ok=True)
+        raise ConfigError(source, f"must be a path string, got {json.dumps(d)}")
+    try:
+        Path(d).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(source, f"cannot create directory {d}: {e.strerror}")
     return Path(d)
 
 
@@ -257,7 +272,7 @@ def _setup(args):
 def cmd_run(args) -> int:
     cfg, seed, graph = _setup(args)
     game = build_game(_block(cfg, "game"), seed)
-    admm_cfg, x0 = build_admm(_block(cfg, "admm"))
+    admm_cfg, x0 = build_admm(_block(cfg, "admm"), graph.n)
     out = _output_dir(cfg, args.output_dir)
     result = run(game, graph, admm_cfg, x0=x0)
 
@@ -284,7 +299,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg, seed, graph = _setup(args)
     game = build_game(_block(cfg, "game"), seed)
-    admm_cfg, x0 = build_admm(_block(cfg, "admm"))
+    admm_cfg, x0 = build_admm(_block(cfg, "admm"), graph.n)
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
     tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
                 "compare.tol")
@@ -319,7 +334,7 @@ def cmd_check(args) -> int:
               "is not connected)", file=sys.stderr)
         return 1
 
-    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True))
+    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), graph.n)
 
     def sigma_f():
         given = cfg.get("sigma_f") if args.sigma_f is None else args.sigma_f

@@ -76,9 +76,10 @@ class GameModel(abc.ABC):
     """Interface every game exposes to the solvers.
 
     A game has `n_players` scalar-action players, a rectangular joint action
-    set `action_box`, a per-player cost `cost(i, x)` evaluated at a full
-    profile x in R^N, and the partial derivative `grad_i(i, x)` of player i's
-    cost with respect to their own coordinate.
+    set `action_box` and a per-player cost `cost(i, x)` evaluated at a full
+    profile x in R^N. `own_gradients(X)` takes one profile per player, row i
+    for player i, and returns F_i(X[i]): the partial derivative of player i's
+    cost with respect to their own coordinate, at their own row.
     """
 
     n_players: int
@@ -88,14 +89,15 @@ class GameModel(abc.ABC):
     def cost(self, i: int, x: np.ndarray) -> float: ...
 
     @abc.abstractmethod
-    def grad_i(self, i: int, x: np.ndarray) -> float: ...
+    def own_gradients(self, X: np.ndarray) -> np.ndarray: ...
 
     def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Stacked map F(x) = (grad_i(i, x))_i at a common profile x."""
-        return np.array([self.grad_i(i, x) for i in range(self.n_players)])
+        """Stacked map F(x) = (F_i(x))_i at a common profile x."""
+        x = np.asarray(x, dtype=float)
+        return self.own_gradients(np.broadcast_to(x, (self.n_players, x.shape[0])))
 
-    def clamped_terms(self, i: int, x: np.ndarray) -> int:
-        """Number of guarded cost terms clamped for player i at x (0 if none)."""
+    def guard_activations(self, X: np.ndarray) -> int:
+        """Guarded cost terms clamped over all players, player i at row X[i] (0 if none)."""
         return 0
 
     def _check_index(self, i: int):
@@ -135,14 +137,11 @@ class QuadraticGame(GameModel):
         x = np.asarray(x, dtype=float)
         return float(0.5 * self.a[i] * x[i] ** 2 + x[i] * (self.B[i] @ x) + self.d[i] * x[i])
 
-    def grad_i(self, i: int, x: np.ndarray) -> float:
-        self._check_index(i)
-        x = np.asarray(x, dtype=float)
-        return float(self.a[i] * x[i] + self.B[i] @ x + self.d[i])
-
-    def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (np.diag(self.a) + self.B) @ x + self.d
+    def own_gradients(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        # row-wise B[i] @ X[i], summed exactly as that dot product sums it
+        coupling = np.matmul(self.B[:, None, :], X[:, :, None])[:, 0, 0]
+        return self.a * np.diagonal(X) + coupling + self.d
 
 
 def quadratic_ne(game: QuadraticGame) -> np.ndarray:
@@ -198,7 +197,7 @@ class WanetGame(GameModel):
     with load_j(x) the total flow of users whose path contains link j. A
     denominator falling below `eps_guard` is clamped there, which keeps cost
     and gradient total even when a profile transiently oversubscribes a link;
-    clamping events are observable via `clamped_terms`.
+    clamping events are counted by `guard_activations`.
     """
 
     def __init__(self, capacities, routes, kappa=1.0, chi=10.0,
@@ -239,35 +238,35 @@ class WanetGame(GameModel):
         for i, r in enumerate(self.routes):
             usage[list(r), i] = 1.0
         self._usage = usage
-        self._route_users = [usage[list(r), :] for r in self.routes]
-        self._route_caps = [self.capacities[list(r)] for r in self.routes]
+        self._on_route = usage > 0
 
     def link_loads(self, x: np.ndarray) -> np.ndarray:
-        """Total flow per link at profile x."""
-        return self._usage @ np.asarray(x, dtype=float)
+        """Total flow per link (axis 0) at profile x, or at each row of a stack x (axis 1)."""
+        return self._usage @ np.asarray(x, dtype=float).T
 
     def residual_capacities(self, x: np.ndarray) -> np.ndarray:
-        """C_j - load_j(x) per link, before guarding."""
-        return self.capacities - self.link_loads(x)
-
-    def _guarded_route_residuals(self, i: int, x: np.ndarray) -> np.ndarray:
-        den = self._route_caps[i] - self._route_users[i] @ np.asarray(x, dtype=float)
-        return np.maximum(den, self.eps_guard)
+        """C_j - load_j per link before guarding, shaped like `link_loads(x)`."""
+        loads = self.link_loads(x)
+        return (self.capacities if loads.ndim == 1 else self.capacities[:, None]) - loads
 
     def cost(self, i: int, x: np.ndarray) -> float:
         self._check_index(i)
-        den = self._guarded_route_residuals(i, x)
+        x = np.asarray(x, dtype=float)
+        den = np.maximum(self.residual_capacities(x)[self._on_route[:, i]], self.eps_guard)
         return float(np.sum(self.kappa / den) - self.chi[i] * np.log(x[i] + 1.0))
 
-    def grad_i(self, i: int, x: np.ndarray) -> float:
-        self._check_index(i)
-        den = self._guarded_route_residuals(i, x)
-        return float(np.sum(self.kappa / den**2) - self.chi[i] / (x[i] + 1.0))
+    def own_gradients(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        den = np.maximum(self.residual_capacities(X), self.eps_guard)
+        # off-route terms are exactly 0.0, and this C-ordered (links, rows)
+        # array sums along axis 0 in ascending link order, so column i sums
+        # as user i's route terms alone would
+        price = np.where(self._on_route, self.kappa / den**2, 0.0).sum(axis=0)
+        return price - self.chi / (np.diagonal(X) + 1.0)
 
-    def clamped_terms(self, i: int, x: np.ndarray) -> int:
-        self._check_index(i)
-        den = self._route_caps[i] - self._route_users[i] @ np.asarray(x, dtype=float)
-        return int(np.count_nonzero(den < self.eps_guard))
+    def guard_activations(self, X: np.ndarray) -> int:
+        clamped = self.residual_capacities(X) < self.eps_guard
+        return int(np.count_nonzero(clamped & self._on_route))
 
 
 def default_wanet_instance(seed: int) -> tuple[WanetGame, CommGraph]:

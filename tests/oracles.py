@@ -135,7 +135,8 @@ def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
 
     beta = cfg.beta_vector(n)
     alpha = beta + 2.0 * cfg.c * deg
-    grads = np.array([game.grad_i(i, X[i]) for i in range(n)])
+    # row by row through the pseudo-gradient, not the solver's batched call
+    grads = np.array([game.pseudo_gradient(X[i])[i] for i in range(n)])
     own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(msum) - grads \
         + cfg.c * np.diagonal(S)
     box = game.action_box

@@ -193,28 +193,33 @@ def test_criterion_06_spectral_bounds():
     assert checked == 100 and small >= 5
 
 
+def _check_own_gradients(game, X):
+    """Row i of own_gradients(X) against a central difference of J_i and
+    against the pseudo-gradient, both taken at player i's own row X[i]."""
+    for i, g in enumerate(game.own_gradients(X)):
+        fd = central_diff(lambda y: game.cost(i, y), X[i], i)
+        assert abs(g - fd) <= 1e-6 * max(1.0, abs(g))
+        assert abs(g - game.pseudo_gradient(X[i])[i]) <= 1e-12 * max(1.0, abs(g))
+
+
 def test_criterion_07_gradient_validation(wanet_default):
     quad = random_quadratic_game(5, seed=123)
     rng = np.random.default_rng(124)
     for _ in range(100):
-        x = rng.uniform(quad.action_box.lower * 0.8, quad.action_box.upper * 0.8)
-        for i in range(5):
-            g = quad.grad_i(i, x)
-            fd = central_diff(lambda y: quad.cost(i, y), x, i)
-            assert abs(g - fd) <= 1e-6 * max(1.0, abs(g))
+        # one independent profile per player
+        X = rng.uniform(quad.action_box.lower * 0.8, quad.action_box.upper * 0.8, size=(5, 5))
+        _check_own_gradients(quad, X)
 
     game, _ = wanet_default
+    n = game.n_players
     rng = np.random.default_rng(125)
     count = 0
     while count < 100:
-        x = rng.uniform(0.2, 1.8, size=game.n_players)
-        if float(np.min(game.residual_capacities(x))) < 0.5:
+        X = rng.uniform(0.2, 1.8, size=(n, n))
+        if float(np.min(game.residual_capacities(X))) < 0.5:
             continue
         count += 1
-        for i in range(game.n_players):
-            g = game.grad_i(i, x)
-            fd = central_diff(lambda y: game.cost(i, y), x, i)
-            assert abs(g - fd) <= 1e-6 * max(1.0, abs(g))
+        _check_own_gradients(game, X)
 
 
 def test_criterion_08_ordering_vs_baseline(race):
@@ -223,6 +228,15 @@ def test_criterion_08_ordering_vs_baseline(race):
     assert race.ratio > 1.0, (
         f"ratio {race.ratio} (admm {race.admm_iterations}, "
         f"baseline {race.baseline_iterations} at gamma {race.baseline_gamma})")
+
+
+def test_readme_figures(wanet_default, race):
+    """The iteration counts the README quotes for the seed-7 instance, exactly."""
+    game, graph = wanet_default
+    result = run(game, graph, AdmmConfig())
+    assert (result.reason, result.state.k) == ("converged", 2978)
+    assert race.admm_iterations == 2004
+    assert (race.baseline_gamma, race.baseline_iterations) == (0.02, 4723)
 
 
 def test_criterion_09_congestion_trajectories(wanet_run):

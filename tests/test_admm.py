@@ -216,8 +216,8 @@ def test_run_divergence_reported_with_iteration():
         def cost(self, i, x):
             return 0.0
 
-        def grad_i(self, i, x):
-            return float("nan") if x[i] > 0.25 else -1.0
+        def own_gradients(self, X):
+            return np.where(np.diagonal(X) > 0.25, np.nan, -1.0)
 
     res = run(PoisonGame(), path(2), AdmmConfig(max_iter=50), x0=np.zeros(2))
     assert res.reason == "diverged"

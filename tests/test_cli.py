@@ -150,6 +150,23 @@ def test_output_dir_from_config(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cfgout" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["config.output_dir", "--output-dir", "NASHADMM_OUTPUT_DIR"])
+def test_output_dir_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg, flag = {**copy.deepcopy(QUAD), "baseline": {}}, []
+    if source == "config.output_dir":
+        cfg["output_dir"] = str(taken)
+    elif source == "--output-dir":
+        flag = ["--output-dir", str(taken)]
+    else:
+        monkeypatch.setenv("NASHADMM_OUTPUT_DIR", str(taken))
+    for command in ("run", "compare"):
+        assert cli.main([command, write_cfg(tmp_path, cfg), *flag]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {source}: ")
+
+
 # ------------------------------------------------------------- config errors
 
 def test_missing_game_block(tmp_path, capsys):
@@ -226,12 +243,18 @@ def _set(cfg: dict, dotted: str, value) -> None:
     ("run", "game", {**WANET_CAPS, "capacities": 10.0}, "game.capacities"),
     ("run", "game", {**WANET_CAPS, "capacities": [10.0, float("nan")]}, "game.capacities[1]"),
     ("run", "game.routes", [None], "game.routes[0]"),
+    ("run", "admm.beta", [1, 2], "admm.beta"),
+    ("check", "admm.beta", [1, 2], "admm.beta"),
+    ("compare", "admm.beta", [1, 2], "admm.beta"),
+    ("run", "admm.x0", [0, 0, 0], "admm.x0"),
+    ("compare", "admm.x0", [0, 0, 0], "admm.x0"),
 ], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n", "seed-inf", "seed-list",
         "output_dir-null", "output_dir-number", "compare-list", "compare.tol-string",
         "max_iter-bool", "record_every-fraction", "max_iter-string", "c-negative", "beta-empty",
         "sweep-negative", "baseline.max_iter-negative", "gamma-string", "graph.seed-fraction",
         "quadratic-scalar-a", "capacities-null", "capacities-scalar", "capacities-nan",
-        "routes-null"])
+        "routes-null", "beta-length-run", "beta-length-check", "beta-length-compare",
+        "x0-length-run", "x0-length-compare"])
 def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, command, key, value,
                                            path):
     monkeypatch.chdir(tmp_path)

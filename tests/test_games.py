@@ -69,10 +69,15 @@ def test_quadratic_cost_and_grad_formula():
     x = np.array([1.5, -2.0])
     # J_0 = 0.5*2*1.5^2 + 1.5*(1*-2) + 0.5*1.5
     assert math.isclose(g.cost(0, x), 0.5 * 2 * 1.5**2 + 1.5 * -2.0 + 0.5 * 1.5)
-    assert math.isclose(g.grad_i(0, x), 2 * 1.5 + (-2.0) + 0.5)
+    assert math.isclose(g.own_gradients(np.stack([x, x]))[0], 2 * 1.5 + (-2.0) + 0.5)
     F = g.pseudo_gradient(x)
     M = np.diag([2.0, 3.0]) + np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(F, M @ x + np.array([0.5, -1.0]), atol=1e-14)
+    # the per-player loop form, bit for bit, at a size where summation order shows
+    big = random_quadratic_game(200, seed=1)
+    X = np.random.default_rng(2).uniform(-10, 10, size=(200, 200))
+    rows = [big.a[i] * X[i, i] + big.B[i] @ X[i] + big.d[i] for i in range(200)]
+    assert np.array_equal(big.own_gradients(X), rows)
 
 
 def test_quadratic_validation():
@@ -106,8 +111,7 @@ def test_quadratic_ne_coupled_hand_case():
 def test_quadratic_ne_stationarity_n5():
     g = random_quadratic_game(5, seed=11)
     x = quadratic_ne(g)
-    for i in range(5):
-        assert abs(g.grad_i(i, x)) < 1e-10
+    assert np.all(np.abs(g.pseudo_gradient(x)) < 1e-10)
 
 
 def test_quadratic_ne_rejects_boundary():
@@ -165,21 +169,40 @@ def test_wanet_cost_log_term_vanishes_at_zero():
 
 def test_wanet_grad_hand_value():
     g = WanetGame([10.0, 10.0], [[0, 1]], kappa=1.0, chi=10.0)
-    assert math.isclose(g.grad_i(0, np.zeros(1)), 2 / 100 - 10.0, abs_tol=1e-15)
+    assert math.isclose(g.own_gradients(np.zeros((1, 1)))[0], 2 / 100 - 10.0, abs_tol=1e-15)
 
 
 def test_wanet_grad_zero_chi_uncongested():
     g = WanetGame([10.0, 10.0, 10.0], [[0, 1, 2]], kappa=1.0, chi=0.0)
-    assert math.isclose(g.grad_i(0, np.zeros(1)), 3 * 1.0 / 100.0)
+    assert math.isclose(g.own_gradients(np.zeros((1, 1)))[0], 3 * 1.0 / 100.0)
+
+
+def _wanet_loop_grad(game, x, i):
+    """Player i's own partial at x, route terms summed in ascending link order;
+    at most two users share a link, so the loads are exact."""
+    r = list(game.routes[i])
+    loads = [sum(x[k] for k in range(game.n_users) if j in game.routes[k]) for j in r]
+    den = np.maximum(game.capacities[r] - loads, game.eps_guard)
+    return np.sum(game.kappa / den**2) - game.chi[i] / (x[i] + 1.0)
 
 
 def test_wanet_grad_matches_central_difference_at_ones(wanet_default):
     game, _ = wanet_default
-    x = np.ones(game.n_users)
-    for i in range(game.n_users):
-        fd = central_diff(lambda y: game.cost(i, y), x, i)
-        an = game.grad_i(i, x)
+    n = game.n_users
+    # one profile per player: row 0 is all ones, the others tilt away from it
+    X = 1.0 + 0.1 * np.arange(n)[:, None] * np.linspace(-1.0, 1.0, n)
+    grads = game.own_gradients(X)
+    for i in range(n):
+        fd = central_diff(lambda y: game.cost(i, y), X[i], i)
+        an = grads[i]
         assert abs(an - fd) / max(1.0, abs(an)) < 1e-6
+        assert an == _wanet_loop_grad(game, X[i], i)
+        assert an == game.pseudo_gradient(X[i])[i]
+    # bit for bit over the whole box too, where guarded terms dwarf the rest
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        X = rng.uniform(0.0, 10.0, size=(n, n))
+        assert list(game.own_gradients(X)) == [_wanet_loop_grad(game, X[i], i) for i in range(n)]
 
 
 def test_wanet_guard_keeps_cost_total():
@@ -187,10 +210,16 @@ def test_wanet_guard_keeps_cost_total():
     g = WanetGame([1.0], [[0], [0]], kappa=1.0, chi=10.0, eps_guard=1e-6)
     x = np.array([0.6, 0.6])
     assert math.isclose(g.cost(0, x), 1e6 - 10 * math.log(1.6), rel_tol=1e-12)
-    assert g.clamped_terms(0, x) == 1
-    assert g.clamped_terms(0, np.array([0.1, 0.1])) == 0
+    assert g.guard_activations(np.array([x, x])) == 2
+    assert g.guard_activations(np.array([x, [0.1, 0.1]])) == 1
+    assert g.guard_activations(np.full((2, 2), 0.1)) == 0
     # derivative taken at the clamped denominator value
-    assert math.isclose(g.grad_i(0, x), 1e12 - 10 / 1.6, rel_tol=1e-12)
+    assert math.isclose(g.own_gradients(np.array([x, x]))[0], 1e12 - 10 / 1.6, rel_tol=1e-12)
+    # rows 0 and 2 oversubscribe link 0, row 2 also link 1; only on-route
+    # links count: user 0 (link 0) once, user 1 (links 0, 1) none, user 2 (link 1) once
+    g3 = WanetGame([1.0, 1.0], [[0], [0, 1], [1]], kappa=1.0, chi=10.0, eps_guard=1e-6)
+    X = np.array([[0.6, 0.6, 0.0], [0.1, 0.1, 0.1], [0.6, 0.6, 0.6]])
+    assert g3.guard_activations(X) == 2
 
 
 def test_wanet_validation():
@@ -225,6 +254,8 @@ def test_wanet_link_loads():
     g = WanetGame([10.0, 10.0], [[0], [0, 1]], kappa=1.0, chi=10.0)
     loads = g.link_loads(np.array([2.0, 3.0]))
     assert np.allclose(loads, [5.0, 3.0])
+    stacked = g.link_loads(np.array([[2.0, 3.0], [1.0, 0.0]]))
+    assert np.allclose(stacked, [[5.0, 1.0], [3.0, 0.0]])
 
 
 # -------------------------------------------------- default_wanet_instance
@@ -288,8 +319,8 @@ def test_sigma_estimate_skips_uninformative_pairs():
         def cost(self, i, x):
             return 0.0
 
-        def grad_i(self, i, x):
-            return float(np.floor(4.0 * x[i]))
+        def own_gradients(self, X):
+            return np.floor(4.0 * np.diagonal(X))
 
     est = estimate_sigma_f(QuantizedGame(), QuantizedGame.action_box,
                            samples=200, seed=3)
