@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import GameModel
+from .games import ActionBox, GameModel
 from .graph import CommGraph
 from .metrics import IterationRecord, consensus_error, ne_residual
 
@@ -124,16 +124,18 @@ class RunResult:
     diverged_at: int | None = None
 
 
-def estimate_rows(x0, n: int) -> np.ndarray:
-    """x0 as an n-by-n estimate matrix: a profile (default 0) copied to every
-    row, or an n-by-n matrix taken as is."""
+def estimate_rows(x0, n: int, box: ActionBox) -> np.ndarray:
+    """x0 as an n-by-n estimate matrix inside the box: a profile (default 0)
+    copied to every row, or an n-by-n matrix taken as is."""
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape == (n,):
-        return np.tile(x0, (n, 1))
-    if x0.shape == (n, n):
-        return x0.copy()
-    raise SettingError("x0", f"must have {n} coordinates" if x0.ndim == 1 else
-                       "must be a profile of length n or an n-by-n estimate matrix")
+    if x0.shape not in ((n,), (n, n)):
+        raise SettingError("x0", f"must have {n} coordinates" if x0.ndim == 1 else
+                           "must be a profile of length n or an n-by-n estimate matrix")
+    rows = np.atleast_2d(x0)  # a profile is checked once, before it is copied
+    outside = ~np.all((rows >= box.lower) & (rows <= box.upper), axis=1)  # NaN is outside
+    if outside.any():
+        raise SettingError("x0", f"has row {np.flatnonzero(outside)[0]} outside the action box")
+    return rows.repeat(n, axis=0) if x0.ndim == 1 else x0.copy()
 
 
 def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
@@ -145,11 +147,36 @@ def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
         raise ValueError("solver needs n >= 2 (single-player games are plain minimization)")
     if not graph.is_connected():
         raise ValueError("communication graph must be connected")
-    X = estimate_rows(x0, n)
-    outside = np.flatnonzero(np.any(X != game.action_box.project(X), axis=1))
-    if outside.size:
-        raise ValueError(f"initial estimate row {outside[0]} is outside the action box")
+    X = estimate_rows(x0, n, game.action_box)
     return SolverState(X=X, W=np.zeros_like(X), k=0)
+
+
+def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
+    """`admm_step` as a one-argument step, its per-run constants computed once."""
+    deg = graph.degrees().astype(float)
+    if np.any(deg == 0):
+        raise ValueError("every player needs at least one neighbor")
+    c, beta = cfg.c, cfg.beta_vector(graph.n)
+    two_c_deg = 2.0 * c * deg
+    alpha, keep = beta + two_c_deg, beta + c * deg
+    deg_col, two_c_col = deg[:, None], two_c_deg[:, None]
+
+    def step(state: SolverState) -> SolverState:
+        # n-by-n terms are built in place, in admm_step's operation order, so the bits match
+        X, W = state.X, state.W
+        S = graph.neighbor_sums(X)
+        W_new = deg_col * X
+        W_new -= S
+        W_new *= c
+        W_new += W
+        own_num = keep * np.diagonal(X) - np.diagonal(W_new) - game.own_gradients(X) \
+            + c * np.diagonal(S)
+        X_new = S / deg_col
+        X_new -= np.divide(W, two_c_col, out=S)
+        np.fill_diagonal(X_new, game.action_box.project(own_num / alpha))
+        return SolverState(X=X_new, W=W_new, k=state.k + 1)
+
+    return step
 
 
 def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
@@ -170,23 +197,7 @@ def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
     The staggered w indices are what make this recursion match the explicit
     multiplier form step for step.
     """
-    n = graph.n
-    X, W = state.X, state.W
-    deg = graph.degrees().astype(float)
-    if np.any(deg == 0):
-        raise ValueError("every player needs at least one neighbor")
-
-    S = graph.neighbor_sums(X)
-    W_new = W + cfg.c * (deg[:, None] * X - S)
-
-    beta = cfg.beta_vector(n)
-    alpha = beta + 2.0 * cfg.c * deg
-    X_new = S / deg[:, None] - W / (2.0 * cfg.c * deg[:, None])
-
-    own_num = (beta + cfg.c * deg) * np.diagonal(X) - np.diagonal(W_new) \
-        - game.own_gradients(X) + cfg.c * np.diagonal(S)
-    np.fill_diagonal(X_new, game.action_box.project(own_num / alpha))
-    return SolverState(X=X_new, W=W_new, k=state.k + 1)
+    return _admm_plan(game, graph, cfg)(state)
 
 
 def _make_record(state: SolverState, game: GameModel, ce: float, nr: float,
@@ -230,8 +241,7 @@ def _drive(state: SolverState, step, game: GameModel, graph: CommGraph,
 def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None) -> RunResult:
     """Iterate `admm_step` from x0 until both tolerances hold or the budget ends."""
     state = init_state(game, graph, x0)
-    step = lambda s: admm_step(s, game, graph, cfg)
-    return _drive(state, step, game, graph, cfg)
+    return _drive(state, _admm_plan(game, graph, cfg), game, graph, cfg)
 
 
 def condition_threshold(cfg: AdmmConfig, graph: CommGraph) -> float:

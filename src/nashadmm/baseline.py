@@ -43,6 +43,17 @@ class BaselineConfig(StopRule):
             object.__setattr__(self, "sweep", sweep)
 
 
+def _mixing(graph: CommGraph):
+    """`neighbor_average` on this graph, its (deg + 1) column computed once."""
+    deg_plus_1 = graph.degrees().astype(float)[:, None] + 1.0
+
+    def average(X: np.ndarray) -> np.ndarray:
+        S = graph.neighbor_sums(X)
+        return np.divide(np.add(S, X, out=S), deg_plus_1, out=S)
+
+    return average
+
+
 def neighbor_average(X: np.ndarray, graph: CommGraph) -> np.ndarray:
     """Row i of the result = mean of {x^j : j in N_i union {i}}.
 
@@ -50,26 +61,34 @@ def neighbor_average(X: np.ndarray, graph: CommGraph) -> np.ndarray:
     stochastic on regular graphs, where it therefore preserves the column sums
     of X.
     """
-    deg = graph.degrees().astype(float)
-    return (graph.neighbor_sums(X) + X) / (deg[:, None] + 1.0)
+    return _mixing(graph)(X)
+
+
+def _baseline_plan(game: GameModel, graph: CommGraph, cfg: BaselineConfig):
+    """`baseline_step` as a one-argument step, with the mixing column computed once."""
+    average = _mixing(graph)
+
+    def step(state: SolverState) -> SolverState:
+        X = state.X
+        X_new = average(X)
+        own = np.diagonal(X) - cfg.gamma * game.own_gradients(X)
+        np.fill_diagonal(X_new, game.action_box.project(own))
+        return SolverState(X=X_new, W=state.W, k=state.k + 1)
+
+    return step
 
 
 def baseline_step(state: SolverState, game: GameModel, graph: CommGraph,
                   cfg: BaselineConfig) -> SolverState:
     """Averaging on the non-own coordinates, projected gradient on the own one."""
-    X = state.X
-    X_new = neighbor_average(X, graph)
-    own = np.diagonal(X) - cfg.gamma * game.own_gradients(X)
-    np.fill_diagonal(X_new, game.action_box.project(own))
-    return SolverState(X=X_new, W=state.W, k=state.k + 1)
+    return _baseline_plan(game, graph, cfg)(state)
 
 
 def run_baseline(game: GameModel, graph: CommGraph, cfg: BaselineConfig,
                  x0=None) -> RunResult:
     """Iterate `baseline_step` under the same stopping rule as the ADMM run."""
     state = init_state(game, graph, x0)
-    step = lambda s: baseline_step(s, game, graph, cfg)
-    return _drive(state, step, game, graph, cfg)
+    return _drive(state, _baseline_plan(game, graph, cfg), game, graph, cfg)
 
 
 @dataclass

@@ -9,7 +9,6 @@ NASHADMM_OUTPUT_DIR environment variable, overridden by --output-dir).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -194,16 +193,16 @@ def build_graph(block: dict, default_seed: int) -> CommGraph:
         raise ConfigError("graph", str(e))
 
 
-def build_admm(block: dict, n: int):
-    """Solver settings and x0 for n players, sized by the library's own rules."""
+def build_admm(block: dict, game):
+    """Solver settings and x0 for the game, checked by the library's own rules."""
     x0 = block.get("x0", "zeros")
     if isinstance(x0, str) and x0 != "zeros":
         raise ConfigError("admm.x0", f"unknown preset {x0!r}")
     x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1, 2))
     cfg = read_settings(AdmmConfig, block, "admm")
     try:
-        cfg.beta_vector(n)
-        estimate_rows(x0, n)
+        cfg.beta_vector(game.n_players)
+        estimate_rows(x0, game.n_players, game.action_box)
     except SettingError as e:
         raise ConfigError(f"admm.{e.field}", e.reason)
     return cfg, x0
@@ -231,22 +230,20 @@ def _output_dir(cfg: dict, flag_value) -> Path:
 
 
 def write_trace(path: Path, records, n_players: int, timing: bool = False):
-    """Long-format CSV: one row per recorded iteration per player.
+    """Long-format CSV: one row per recorded iteration per player, each ended
+    by CRLF as csv.writer ends it.
 
     Floats are serialized with repr so identical runs produce identical bytes;
     elapsed_us is 0 unless timing is requested, for the same reason.
     """
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRACE_COLUMNS)
+        f.write(",".join(TRACE_COLUMNS) + "\r\n")
         for r in records:
             us = int(round(r.elapsed * 1e6)) if timing else 0
-            for i in range(n_players):
-                w.writerow([
-                    r.k, i, repr(float(r.actions[i])),
-                    repr(float(r.consensus_error)), repr(float(r.ne_residual)),
-                    r.guard_activations, us,
-                ])
+            ce, nr = float(r.consensus_error), float(r.ne_residual)
+            tail = f"{ce!r},{nr!r},{r.guard_activations},{us}\r\n"
+            actions = r.actions.tolist()
+            f.write("".join(f"{r.k},{i},{actions[i]!r},{tail}" for i in range(n_players)))
 
 
 def _fmt(v) -> str:
@@ -269,10 +266,18 @@ def _setup(args):
     return cfg, seed, build_graph(_block(cfg, "graph"), seed)
 
 
+def _game(cfg: dict, seed: int, graph: CommGraph):
+    """The config's game, which must have one player per graph node."""
+    game = build_game(_block(cfg, "game"), seed)
+    if game.n_players != graph.n:
+        raise ConfigError("game", "player count disagrees with graph size")
+    return game
+
+
 def cmd_run(args) -> int:
     cfg, seed, graph = _setup(args)
-    game = build_game(_block(cfg, "game"), seed)
-    admm_cfg, x0 = build_admm(_block(cfg, "admm"), graph.n)
+    game = _game(cfg, seed, graph)
+    admm_cfg, x0 = build_admm(_block(cfg, "admm"), game)
     out = _output_dir(cfg, args.output_dir)
     result = run(game, graph, admm_cfg, x0=x0)
 
@@ -298,8 +303,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, seed, graph = _setup(args)
-    game = build_game(_block(cfg, "game"), seed)
-    admm_cfg, x0 = build_admm(_block(cfg, "admm"), graph.n)
+    game = _game(cfg, seed, graph)
+    admm_cfg, x0 = build_admm(_block(cfg, "admm"), game)
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
     tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
                 "compare.tol")
@@ -334,15 +339,13 @@ def cmd_check(args) -> int:
               "is not connected)", file=sys.stderr)
         return 1
 
-    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), graph.n)
+    game = _game(cfg, seed, graph)
+    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), game)
 
     def sigma_f():
         given = cfg.get("sigma_f") if args.sigma_f is None else args.sigma_f
         if given is not None:
             return _read(given, "sigma_f"), "given"
-        game = build_game(_block(cfg, "game"), seed)
-        if game.n_players != graph.n:
-            raise ConfigError("game", "player count disagrees with graph size")
         return estimate_sigma_f(game, game.action_box, samples=args.samples, seed=seed), "estimated"
 
     try:

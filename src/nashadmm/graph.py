@@ -65,8 +65,12 @@ class CommGraph:
         return tuple(tuple(sorted(l)) for l in nbrs)
 
     @cached_property
-    def _nbr_idx(self) -> tuple[np.ndarray, ...]:
-        return tuple(_frozen(np.array(l, dtype=np.intp)) for l in self._nbrs)
+    def _slots(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(rows, cols) for each slot s >= 0: nodes of degree > s, their s-th neighbors."""
+        index = lambda l: _frozen(np.array(l, dtype=np.intp))
+        rows = [[i for i, l in enumerate(self._nbrs) if len(l) > s]
+                for s in range(max(1, *map(len, self._nbrs)))]
+        return tuple((index(r), index([self._nbrs[i][s] for i in r])) for s, r in enumerate(rows))
 
     @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +94,21 @@ class CommGraph:
     def neighbor_sums(self, X: np.ndarray) -> np.ndarray:
         """Row i = sum of the rows X[j], j in N_i, added in ascending j (a
         fixed order, so repeated runs are bit-identical)."""
-        return np.stack([X[idx].sum(axis=0) for idx in self._nbr_idx])
+        (rows, cols), *rest = self._slots
+        if rows.size == self.n:
+            S = X[cols]
+        else:
+            S = np.zeros_like(X)  # degree-0 rows
+            S[rows] = X[cols]
+        # A sum starts from +0.0, so all -0.0 neighbors sum to +0.0; adding +0.0
+        # to the first term gives that sign and leaves every other value as it is.
+        S += 0.0
+        for rows, cols in rest:
+            if rows.size == self.n:
+                S += X[cols]
+            else:
+                S[rows] += X[cols]
+        return S
 
     def adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix with zero diagonal."""

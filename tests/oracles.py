@@ -76,6 +76,11 @@ def normalized_laplacian_eigs_exact(graph) -> np.ndarray:
     return charpoly_eigs(M)
 
 
+def neighbor_sums_loop(X: np.ndarray, graph) -> np.ndarray:
+    """Row i = X[N_i].sum(axis=0), one node at a time."""
+    return np.stack([X[graph.neighbors(i)].sum(axis=0) for i in range(graph.n)])
+
+
 @dataclass
 class DualState:
     """Explicit-form state: one (u, v) multiplier pair per directed edge.
@@ -129,7 +134,7 @@ def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
         for i in range(n)
     ])
 
-    S = graph.neighbor_sums(X)
+    S = neighbor_sums_loop(X, graph)
     avg = S / deg[:, None]
     X_new = 0.5 * (X + avg) - msum / (2.0 * cfg.c * deg[:, None])
 

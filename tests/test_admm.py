@@ -79,8 +79,12 @@ def test_init_state_rows_verbatim():
 
 def test_init_state_rejects_infeasible_x0():
     g, gr = make_pair()
-    with pytest.raises(ValueError):
-        init_state(g, gr, np.array([100.0, 0.0]))
+    for bad in (100.0, np.nan):
+        with pytest.raises(ValueError, match="row 0 outside"):
+            init_state(g, gr, np.array([bad, 0.0]))
+    # an estimate matrix is checked row by row, and the first bad row is named
+    with pytest.raises(ValueError, match="row 1 outside"):
+        init_state(g, gr, np.array([[0.0, 0.0], [0.0, -100.0]]))
 
 
 def test_init_state_rejects_disconnected():

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nashadmm import cli
+from nashadmm import IterationRecord, cli
 
 
 QUAD = {
@@ -101,6 +102,36 @@ def test_run_byte_identical(tmp_path, capsys):
     assert cli.main(["run", cfgp, "--output-dir", str(dirs[1])]) == 0
     capsys.readouterr()
     assert (dirs[0] / "trace.csv").read_bytes() == (dirs[1] / "trace.csv").read_bytes()
+
+
+def _csv_writer_trace(path, records, n_players, timing):
+    """The trace as csv.writer writes it, the reference for write_trace's bytes."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(cli.TRACE_COLUMNS)
+        for r in records:
+            us = int(round(r.elapsed * 1e6)) if timing else 0
+            for i in range(n_players):
+                w.writerow([r.k, i, repr(float(r.actions[i])), repr(float(r.consensus_error)),
+                            repr(float(r.ne_residual)), r.guard_activations, us])
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_write_trace_bytes_match_csv_writer(tmp_path, timing):
+    odd = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    records = [
+        IterationRecord(k=0, actions=np.array(odd), consensus_error=0.1 + 0.2,
+                        ne_residual=-0.0, guard_activations=0, elapsed=0.0),
+        IterationRecord(k=7, actions=np.array(odd[::-1]), consensus_error=5e-324,
+                        ne_residual=1e16, guard_activations=3, elapsed=1.2345678),
+        # a diverged run's last record
+        IterationRecord(k=8, actions=np.array([np.inf, -np.inf, np.nan, 1.0]),
+                        consensus_error=float("nan"), ne_residual=float("inf"),
+                        guard_activations=12, elapsed=2.5e-7),
+    ]
+    cli.write_trace(tmp_path / "new.csv", records, 4, timing=timing)
+    _csv_writer_trace(tmp_path / "ref.csv", records, 4, timing)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_run_x0_appears_in_first_record(tmp_path, capsys):
@@ -248,13 +279,20 @@ def _set(cfg: dict, dotted: str, value) -> None:
     ("compare", "admm.beta", [1, 2], "admm.beta"),
     ("run", "admm.x0", [0, 0, 0], "admm.x0"),
     ("compare", "admm.x0", [0, 0, 0], "admm.x0"),
+    ("run", "admm.x0", [20] + [0] * 14, "admm.x0"),
+    ("compare", "admm.x0", [20] + [0] * 14, "admm.x0"),
+    ("check", "admm.x0", [20] + [0] * 14, "admm.x0"),
+    ("run", "graph", {"type": "ring", "n": 4}, "game"),
+    ("compare", "graph", {"type": "ring", "n": 4}, "game"),
+    ("check", "graph", {"type": "ring", "n": 4}, "game"),
 ], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n", "seed-inf", "seed-list",
         "output_dir-null", "output_dir-number", "compare-list", "compare.tol-string",
         "max_iter-bool", "record_every-fraction", "max_iter-string", "c-negative", "beta-empty",
         "sweep-negative", "baseline.max_iter-negative", "gamma-string", "graph.seed-fraction",
         "quadratic-scalar-a", "capacities-null", "capacities-scalar", "capacities-nan",
         "routes-null", "beta-length-run", "beta-length-check", "beta-length-compare",
-        "x0-length-run", "x0-length-compare"])
+        "x0-length-run", "x0-length-compare", "x0-box-run", "x0-box-compare", "x0-box-check",
+        "size-mismatch-run", "size-mismatch-compare", "size-mismatch-check"])
 def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, command, key, value,
                                            path):
     monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nashadmm import CommGraph, complete, path, random_connected_graph, ring
 from nashadmm.cli import ConfigError, build_graph
 
-from oracles import charpoly_eigs, normalized_laplacian_eigs_exact
+from oracles import charpoly_eigs, neighbor_sums_loop, normalized_laplacian_eigs_exact
 
 
 def test_neighbors_ring():
@@ -123,6 +123,18 @@ def test_neighbor_symmetry(n, extra, seed):
     for i in range(n):
         for j in g.neighbors(i):
             assert i in g.neighbors(j)
+
+
+@pytest.mark.parametrize("graph", [
+    ring(200), random_connected_graph(200, 400, 1), random_connected_graph(15, 5, 7),
+    CommGraph(12, frozenset((0, j) for j in range(1, 12))), complete(30), CommGraph(3),
+], ids=["ring200", "random200", "random15", "star12", "complete30", "edgeless3"])
+def test_neighbor_sums_bitwise(graph):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((graph.n, graph.n))
+    X[rng.random(X.shape) < 0.2] = -0.0
+    # bytes, not values: -0.0 == 0.0, and the loop's sums of -0.0 alone are +0.0
+    assert graph.neighbor_sums(X).tobytes() == neighbor_sums_loop(X, graph).tobytes()
 
 
 def test_degree_adjacency_consistency():
