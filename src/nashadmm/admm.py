@@ -162,7 +162,7 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     deg_col, two_c_col = deg[:, None], two_c_deg[:, None]
 
     def step(state: SolverState) -> SolverState:
-        # n-by-n terms are built in place, in admm_step's operation order, so the bits match
+        # in place, in the operation order of W + c (deg X - S) and S / deg - W / (2c deg)
         X, W = state.X, state.W
         S = graph.neighbor_sums(X)
         W_new = deg_col * X
