@@ -46,7 +46,6 @@ from .graph import (
 from .metrics import (
     IterationRecord,
     consensus_error,
-    m2_seminorm_distance,
     ne_residual,
 )
 
@@ -62,5 +61,5 @@ __all__ = [
     "quadratic_ne", "random_quadratic_game",
     "CommGraph", "complete", "path",
     "random_connected_graph", "ring",
-    "IterationRecord", "consensus_error", "m2_seminorm_distance", "ne_residual",
+    "IterationRecord", "consensus_error", "ne_residual",
 ]

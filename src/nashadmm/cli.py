@@ -1,9 +1,11 @@
 """Command-line front end: config ingestion, experiment orchestration, CSV traces.
 
-Subcommands: run, compare, check, spectra, print-default-config. Config is a
-single JSON document; summaries go to stdout as key=value lines; traces are
-CSV files in the output directory (config "output_dir", overridden by the
-NASHADMM_OUTPUT_DIR environment variable, overridden by --output-dir).
+Subcommands: run, compare, check, print-default-config. `check` reports the
+graph and the convergence condition, `run` solves, and `compare` races the
+solver against the swept baseline. Config is a single JSON document;
+summaries go to stdout as key=value lines; traces are CSV files in the output
+directory (config "output_dir", overridden by the NASHADMM_OUTPUT_DIR
+environment variable, overridden by --output-dir).
 """
 
 from __future__ import annotations
@@ -317,23 +319,25 @@ def cmd_compare(args) -> int:
     trace_b = out / "trace_baseline.csv"
     write_trace(trace_a, report.admm_result.records, graph.n, timing=args.timing)
     write_trace(trace_b, report.baseline_result.records, graph.n, timing=args.timing)
-    emit_comparison(report, trace_admm=trace_a, trace_baseline=trace_b)
+    _emit(tol=report.tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,
+          baseline_reason=report.baseline_reason, baseline_iterations=report.baseline_iterations,
+          baseline_gamma=report.baseline_gamma, ratio=report.ratio,
+          trace_admm=trace_a, trace_baseline=trace_b)
+    for g, reason, iters in report.sweep_results:
+        print(f"sweep gamma={_fmt(g)} reason={reason} iterations={_fmt(iters)}")
     return 0
 
 
-def emit_comparison(report, **trace_paths) -> None:
-    """Print a race: tolerance, outcomes, trace paths, then one line per swept step size."""
-    _emit(tol=report.tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,
-          baseline_reason=report.baseline_reason, baseline_iterations=report.baseline_iterations,
-          baseline_gamma=report.baseline_gamma, ratio=report.ratio, **trace_paths)
-    for g, reason, iters in report.sweep_results:
-        print(f"sweep gamma={_fmt(g)} reason={reason} iterations={_fmt(iters)}")
-
-
 def cmd_check(args) -> int:
+    """Print the graph, the spectral threshold, then sigma_F and the condition verdict."""
     cfg, seed, graph = _setup(args)
+    if args.samples < 2:
+        raise ConfigError("--samples", "must be at least 2")
+    flag = args.sigma_f is not None
+    given = args.sigma_f if flag else cfg.get("sigma_f")
+    sigma = None if given is None else _read(given, "--sigma-f" if flag else "config.sigma_f")
     connected = graph.is_connected()
-    _emit(connected=connected)
+    _emit(n=graph.n, edges=len(graph.edges), connected=connected)
     if not connected:
         print("error: connectivity assumption violated (communication graph "
               "is not connected)", file=sys.stderr)
@@ -341,58 +345,26 @@ def cmd_check(args) -> int:
 
     game = _game(cfg, seed, graph)
     admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), game)
-
-    def sigma_f():
-        given = cfg.get("sigma_f") if args.sigma_f is None else args.sigma_f
-        if given is not None:
-            return _read(given, "sigma_f"), "given"
-        return estimate_sigma_f(game, game.action_box, samples=args.samples, seed=seed), "estimated"
-
-    try:
-        emit_condition_report(graph, admm_cfg, sigma_f)
-    except SigmaEstimationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def emit_condition_report(graph, admm_cfg: AdmmConfig, sigma_f) -> None:
-    """Print the spectral threshold, then sigma_F and the sufficient-condition verdict.
-
-    sigma_f() returns (value, source); it runs after the threshold lines are
-    printed, and a SigmaEstimationError it raises is left to the caller.
-    """
+    deg = graph.degrees()
     threshold = condition_threshold(admm_cfg, graph)
     _emit(
+        degree_min=int(deg.min()),
+        degree_max=int(deg.max()),
         lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
         lambda_max_normalized_laplacian=graph.lambda_max_normalized_laplacian(),
         c=admm_cfg.c,
         beta_min=float(np.min(admm_cfg.beta_vector(graph.n))),
         threshold=threshold,
     )
-    sigma, source = sigma_f()
+    source = "given"
+    if sigma is None:  # main reports a SigmaEstimationError
+        sigma, source = estimate_sigma_f(game, game.action_box, args.samples, seed), "estimated"
     if sigma > 0:
         ok, margin = check_condition(sigma, admm_cfg, graph)
     else:
         ok, margin = False, sigma - threshold
     _emit(sigma_f=float(sigma), sigma_f_source=source,
           condition_satisfied=ok, margin=float(margin))
-
-
-def cmd_spectra(args) -> int:
-    _, _, graph = _setup(args)
-    deg = graph.degrees()
-    _emit(n=graph.n, edges=len(graph.edges), connected=graph.is_connected())
-    if not graph.is_connected():
-        print("error: connectivity assumption violated (communication graph "
-              "is not connected)", file=sys.stderr)
-        return 1
-    _emit(
-        degree_min=int(deg.min()),
-        degree_max=int(deg.max()),
-        lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
-        lambda_max_normalized_laplacian=graph.lambda_max_normalized_laplacian(),
-    )
     return 0
 
 
@@ -425,17 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(fn=cmd_compare)
 
-    sp = sub.add_parser("check", help="convergence-condition report for a config")
+    sp = sub.add_parser("check", help="graph and convergence-condition report for a config")
     sp.add_argument("config")
     sp.add_argument("--sigma-f", type=float, default=None,
                     help="cocoercivity constant to use instead of estimating it")
     sp.add_argument("--samples", type=int, default=200,
                     help="profile pairs for the sigma_F estimate")
     sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("spectra", help="graph spectral summary")
-    sp.add_argument("config")
-    sp.set_defaults(fn=cmd_spectra)
 
     sp = sub.add_parser("print-default-config", help="emit the default JSON config")
     sp.set_defaults(fn=cmd_print_default_config)
@@ -446,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, SigmaEstimationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

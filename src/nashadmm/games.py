@@ -59,10 +59,6 @@ class ActionBox:
         """Euclidean projection onto the box (componentwise clip)."""
         return np.clip(x, self.lower, self.upper)
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One uniform draw from the box."""
         return rng.uniform(self.lower, self.upper)

@@ -13,7 +13,6 @@ __all__ = [
     "IterationRecord",
     "consensus_error",
     "ne_residual",
-    "m2_seminorm_distance",
 ]
 
 
@@ -60,27 +59,3 @@ def ne_residual(x: np.ndarray, game: GameModel) -> float:
     x = np.asarray(x, dtype=float)
     step = game.action_box.project(x - game.pseudo_gradient(x))
     return float(np.max(np.abs(x - step)))
-
-
-def m2_seminorm_distance(X: np.ndarray, x_star: np.ndarray, cfg, graph: CommGraph) -> float:
-    """Squared seminorm distance of the estimate matrix from consensus at x_star.
-
-    With E = X - 1 x_star^T and per-player proximal weights beta_i and penalty
-    c taken from cfg,
-
-        (1/2) [ sum_i beta_i E_ii^2  +  c * sum_ij (D + A)_ij <E_i, E_j> ]
-
-    where D + A is the degree-plus-adjacency matrix of the communication
-    graph, applied blockwise (the n^2 x n^2 form is never materialized).
-    Nonnegative whenever the graph is connected.
-    """
-    X = np.asarray(X, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if X.shape != (graph.n, graph.n):
-        raise ValueError("X must be n-by-n")
-    beta = np.broadcast_to(np.asarray(cfg.beta, dtype=float), (graph.n,))
-    E = X - x_star[None, :]
-    diag_part = float(np.sum(beta * np.diagonal(E) ** 2))
-    mixing = graph.d_plus_a()
-    graph_part = float(cfg.c * np.sum(mixing * (E @ E.T)))
-    return 0.5 * (diag_part + graph_part)

@@ -3,7 +3,9 @@
 Everything here is deliberately primitive: finite differences instead of the
 library's analytic gradients, exact characteristic polynomials instead of
 LAPACK, dense grid search instead of solver output, per-edge multipliers
-instead of the solver's compact w-recursion. Slow and dumb on purpose.
+instead of the solver's compact w-recursion. Slow and dumb on purpose. It
+also holds the seminorm the convergence analysis contracts in, which only the
+tests measure.
 """
 
 from __future__ import annotations
@@ -156,3 +158,27 @@ def dual_w_matrix(dstate: DualState, graph) -> np.ndarray:
         sum(dstate.u[(i, j)] + dstate.v[(j, i)] for j in graph.neighbors(i))
         for i in range(graph.n)
     ])
+
+
+def m2_seminorm_distance(X: np.ndarray, x_star: np.ndarray, cfg, graph) -> float:
+    """Squared seminorm distance of the estimate matrix from consensus at x_star.
+
+    With E = X - 1 x_star^T and per-player proximal weights beta_i and penalty
+    c taken from cfg,
+
+        (1/2) [ sum_i beta_i E_ii^2  +  c * sum_ij (D + A)_ij <E_i, E_j> ]
+
+    where D + A is the degree-plus-adjacency matrix of the communication
+    graph, applied blockwise (the n^2 x n^2 form is never materialized).
+    Nonnegative whenever the graph is connected.
+    """
+    X = np.asarray(X, dtype=float)
+    x_star = np.asarray(x_star, dtype=float)
+    if X.shape != (graph.n, graph.n):
+        raise ValueError("X must be n-by-n")
+    beta = np.broadcast_to(np.asarray(cfg.beta, dtype=float), (graph.n,))
+    E = X - x_star[None, :]
+    diag_part = float(np.sum(beta * np.diagonal(E) ** 2))
+    mixing = graph.d_plus_a()
+    graph_part = float(cfg.c * np.sum(mixing * (E @ E.T)))
+    return 0.5 * (diag_part + graph_part)

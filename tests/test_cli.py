@@ -255,7 +255,7 @@ def _set(cfg: dict, dotted: str, value) -> None:
     ("run", "game.routes", [["a"]], "game.routes[0][0]"),
     ("run", "graph.n", 1e999, "graph.n"),
     ("run", "seed", 1e999, "config.seed"),
-    ("spectra", "seed", [1], "config.seed"),
+    ("check", "seed", [1], "config.seed"),
     ("run", "output_dir", None, "config.output_dir"),
     ("compare", "output_dir", -1, "config.output_dir"),
     ("compare", "compare", [1], "config.compare"),
@@ -285,6 +285,7 @@ def _set(cfg: dict, dotted: str, value) -> None:
     ("run", "graph", {"type": "ring", "n": 4}, "game"),
     ("compare", "graph", {"type": "ring", "n": 4}, "game"),
     ("check", "graph", {"type": "ring", "n": 4}, "game"),
+    ("check", "sigma_f", "x", "config.sigma_f"),
 ], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n", "seed-inf", "seed-list",
         "output_dir-null", "output_dir-number", "compare-list", "compare.tol-string",
         "max_iter-bool", "record_every-fraction", "max_iter-string", "c-negative", "beta-empty",
@@ -292,7 +293,8 @@ def _set(cfg: dict, dotted: str, value) -> None:
         "quadratic-scalar-a", "capacities-null", "capacities-scalar", "capacities-nan",
         "routes-null", "beta-length-run", "beta-length-check", "beta-length-compare",
         "x0-length-run", "x0-length-compare", "x0-box-run", "x0-box-compare", "x0-box-check",
-        "size-mismatch-run", "size-mismatch-compare", "size-mismatch-check"])
+        "size-mismatch-run", "size-mismatch-compare", "size-mismatch-check",
+        "sigma_f-string"])
 def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, command, key, value,
                                            path):
     monkeypatch.chdir(tmp_path)
@@ -397,6 +399,35 @@ def test_check_estimates_sigma(tmp_path, capsys):
     assert out["condition_satisfied"] == "true"
 
 
+@pytest.mark.parametrize("flag, message", [
+    (["--samples", "0"], "--samples: must be at least 2"),
+    (["--sigma-f", "nan"], "--sigma-f: must be a finite number, got NaN"),
+])
+def test_check_bad_flag_is_rejected_before_the_report(tmp_path, capsys, flag, message):
+    rc = cli.main(["check", write_cfg(tmp_path, QUAD), *flag])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_check_sigma_not_estimable(tmp_path, capsys):
+    cfg = {
+        "seed": 0,
+        "game": {"type": "quadratic", "a": [1.0, 1.0], "B": [[0.0, 0.5], [0.5, 0.0]],
+                 "d": [0.0, 0.0], "box": {"lower": 0, "upper": 0}},
+        "graph": {"type": "ring", "n": 2},
+    }
+    rc = cli.main(["check", write_cfg(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    # every sampled pair is the single point of the box, so F never moves
+    assert captured.err.startswith("error: cocoercivity not estimable")
+    keys = [line.partition("=")[0] for line in captured.out.splitlines()]
+    assert keys == ["n", "edges", "connected", "degree_min", "degree_max", "lambda_min_d_plus_a",
+                    "lambda_max_normalized_laplacian", "c", "beta_min", "threshold"]
+
+
 def test_check_disconnected_graph(tmp_path, capsys):
     cfg = copy.deepcopy(QUAD)
     cfg["graph"] = {"type": "explicit", "n": 4, "edges": [[0, 1], [2, 3]]}
@@ -427,10 +458,10 @@ def test_compare_summary_and_traces(tmp_path, capsys):
     assert (tmp_path / "trace_baseline.csv").exists()
 
 
-# ------------------------------------------------------- spectra / defaults
+# ------------------------------------------------------- graph report / defaults
 
-def test_spectra(tmp_path, capsys):
-    rc = cli.main(["spectra", write_cfg(tmp_path, QUAD)])
+def test_check_graph_report(tmp_path, capsys):
+    rc = cli.main(["check", write_cfg(tmp_path, QUAD)])
     out = kv(capsys.readouterr().out)
     assert rc == 0
     assert out["n"] == "3" and out["edges"] == "3"
@@ -447,6 +478,10 @@ def test_print_default_config_round_trips(tmp_path, capsys):
     # and the emitted document is directly usable as a config
     p = tmp_path / "default.json"
     p.write_text(out)
-    rc = cli.main(["spectra", str(p)])
+    rc = cli.main(["check", str(p)])
+    report = kv(capsys.readouterr().out)
     assert rc == 0
-    capsys.readouterr()
+    for key in ("threshold", "sigma_f", "sigma_f_source", "margin"):
+        assert key in report
+    # the sampled sigma_F of the congestion game does not meet the sufficient condition
+    assert report["condition_satisfied"] == "false"

@@ -1,8 +1,10 @@
-"""The README's library example and the experiment script, run as shipped."""
+"""The README's library examples, run as shipped, and its shell lines checked against the tree."""
 
-import importlib.util
+import argparse
 import re
 from pathlib import Path
+
+from nashadmm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,19 +17,15 @@ def test_readme_python_example_runs(capsys):
     assert capsys.readouterr().out.startswith("converged ")
 
 
-def test_wanet_experiment_smoke(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "wanet_experiment", ROOT / "scripts" / "wanet_experiment.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    rc = script.main(["--max-iter", "50", "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    assert rc == 2
-    assert "solver_reason=iteration budget" in lines
-    assert "condition_satisfied=false" in lines
-    keys = [l.partition("=")[0] for l in lines]
-    for key in ("threshold", "sigma_f", "sigma_f_source", "condition_satisfied", "margin"):
-        assert key in keys
-    assert "did not converge" in captured.err
-    assert (tmp_path / "trace_solver.csv").exists()
+def test_readme_shell_lines_name_what_exists():
+    blocks = re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [line.split() for block in blocks for line in block.splitlines() if line.strip()]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    documented = [words[1] for words in lines if words[0] == "nashadmm"]
+    assert documented
+    for command in documented:
+        assert command in sub.choices, f"README documents unknown subcommand {command!r}"
+    for words in lines:
+        if words[0] == "python3" and not words[1].startswith("-"):
+            assert (ROOT / words[1]).is_file(), f"README runs missing file {words[1]}"

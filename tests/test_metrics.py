@@ -10,7 +10,6 @@ from nashadmm import (
     QuadraticGame,
     consensus_error,
     init_state,
-    m2_seminorm_distance,
     ne_residual,
     path,
     quadratic_ne,
@@ -19,6 +18,8 @@ from nashadmm import (
     ring,
     run,
 )
+
+from oracles import m2_seminorm_distance
 
 
 def test_consensus_error_zero_on_agreement():
