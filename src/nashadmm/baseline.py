@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import AdmmConfig, RunResult, SolverState, StopRule, _check, _drive, init_state
+from .admm import AdmmConfig, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
+from .loop import RunResult, SolverState, StopRule, _check, _drive, init_state
 
 __all__ = [
     "BaselineConfig",
@@ -64,16 +65,17 @@ def neighbor_average(X: np.ndarray, graph: CommGraph) -> np.ndarray:
     return _mixing(graph)(X)
 
 
-def _baseline_plan(game: GameModel, graph: CommGraph, cfg: BaselineConfig):
-    """`baseline_step` as a one-argument step, with the mixing column computed once."""
-    average = _mixing(graph)
+def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
+    """`baseline_step` on a stack of estimate matrices, member g stepping by
+    gammas[g]; it keeps no duals, so W passes through as None."""
+    average, gamma_col = _mixing(graph), np.asarray(gammas, dtype=float)[:, None]
 
-    def step(state: SolverState) -> SolverState:
-        X = state.X
+    def step(X: np.ndarray, W: None, live) -> tuple[np.ndarray, None]:
         X_new = average(X)
-        own = np.diagonal(X) - cfg.gamma * game.own_gradients(X)
-        np.fill_diagonal(X_new, game.action_box.project(own))
-        return SolverState(X=X_new, W=state.W, k=state.k + 1)
+        own = X.diagonal(0, -2, -1) - gamma_col[live] * game.own_gradients(X)
+        # the projection writes through a view of each diagonal
+        game.action_box.project(own, out=np.einsum("...ii->...i", X_new))
+        return X_new, W
 
     return step
 
@@ -81,14 +83,21 @@ def _baseline_plan(game: GameModel, graph: CommGraph, cfg: BaselineConfig):
 def baseline_step(state: SolverState, game: GameModel, graph: CommGraph,
                   cfg: BaselineConfig) -> SolverState:
     """Averaging on the non-own coordinates, projected gradient on the own one."""
-    return _baseline_plan(game, graph, cfg)(state)
+    X, _ = _baseline_plan(game, graph, (cfg.gamma,))(state.X[None], None, [0])
+    return SolverState(X=X[0], W=state.W, k=state.k + 1)
+
+
+def _sweep(game: GameModel, graph: CommGraph, stop: StopRule, gammas, x0) -> list[RunResult]:
+    """One baseline run per step size in gammas, all from x0, stepped as one stack."""
+    X = init_state(game, graph, x0).X
+    return _drive(X[None].repeat(len(gammas), axis=0), None, _baseline_plan(game, graph, gammas),
+                  game, graph, stop)
 
 
 def run_baseline(game: GameModel, graph: CommGraph, cfg: BaselineConfig,
                  x0=None) -> RunResult:
     """Iterate `baseline_step` under the same stopping rule as the ADMM run."""
-    state = init_state(game, graph, x0)
-    return _drive(state, _baseline_plan(game, graph, cfg), game, graph, cfg)
+    return _sweep(game, graph, cfg, (cfg.gamma,), x0)[0]
 
 
 @dataclass
@@ -122,43 +131,25 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     convergent step size represents it, so the comparison is not decided by a
     badly tuned gamma.
     """
-    from .admm import run as admm_run
-
     a_cfg = replace(admm_cfg, tol_consensus=tol, tol_residual=tol)
     admm_result = admm_run(game, graph, a_cfg, x0=x0)
     admm_iters = admm_result.state.k if admm_result.reason == "converged" else None
 
-    gammas = baseline_cfg.sweep if baseline_cfg.sweep else (baseline_cfg.gamma,)
-    sweep_results = []
-    best: RunResult | None = None
-    best_gamma = None
-    last: RunResult | None = None
-    for g in gammas:
-        cfg_g = replace(baseline_cfg, gamma=g, tol_consensus=tol, tol_residual=tol)
-        res = run_baseline(game, graph, cfg_g, x0=x0)
-        last = res
-        iters = res.state.k if res.reason == "converged" else None
-        sweep_results.append((float(g), res.reason, iters))
-        if iters is not None and (best is None or iters < best.state.k):
-            best, best_gamma = res, float(g)
-
-    if best is not None:
-        base_res, base_iters, base_reason = best, best.state.k, "converged"
-    else:
-        base_res, base_iters = last, None
-        reasons = {r for _, r, _ in sweep_results}
-        base_reason = "diverged" if "diverged" in reasons else "iteration budget"
-
-    if admm_iters is None:
-        ratio = None
-    elif base_iters is None:
-        ratio = float("inf")
-    else:
-        ratio = base_iters / admm_iters
-
+    gammas = [float(g) for g in (baseline_cfg.sweep or (baseline_cfg.gamma,))]
+    runs = _sweep(game, graph, replace(baseline_cfg, tol_consensus=tol, tol_residual=tol),
+                  gammas, x0)
+    sweep_results = [(g, r.reason, r.state.k if r.reason == "converged" else None)
+                     for g, r in zip(gammas, runs)]
+    done = [(k, b) for b, (_, _, k) in enumerate(sweep_results) if k is not None]
+    b = min(done)[1] if done else -1  # the fewest iterations; ties go to the earlier step size
+    base_iters, reasons = sweep_results[b][2], {r.reason for r in runs}
+    base_reason = "converged" if done else "diverged" if "diverged" in reasons \
+        else "iteration budget"
+    ratio = None if admm_iters is None else float("inf") if base_iters is None \
+        else base_iters / admm_iters
     return ComparisonReport(
         tol=tol, admm_reason=admm_result.reason, admm_iterations=admm_iters,
         baseline_reason=base_reason, baseline_iterations=base_iters,
-        baseline_gamma=best_gamma, sweep_results=tuple(sweep_results), ratio=ratio,
-        admm_result=admm_result, baseline_result=base_res,
+        baseline_gamma=gammas[b] if done else None, sweep_results=tuple(sweep_results),
+        ratio=ratio, admm_result=admm_result, baseline_result=runs[b],
     )

@@ -21,8 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .admm import (AdmmConfig, SettingError, check_condition, condition_threshold, estimate_rows,
-                   run)
+from .admm import AdmmConfig, check_condition, condition_threshold, run
 from .baseline import BaselineConfig, compare
 from .games import (
     ActionBox,
@@ -33,6 +32,7 @@ from .games import (
     estimate_sigma_f,
 )
 from .graph import CommGraph, complete, path, random_connected_graph, ring
+from .loop import SettingError, check_x0
 
 TRACE_COLUMNS = ["k", "player", "action", "consensus_error", "ne_residual",
                  "guard_activations", "elapsed_us"]
@@ -204,7 +204,7 @@ def build_admm(block: dict, game):
     cfg = read_settings(AdmmConfig, block, "admm")
     try:
         cfg.beta_vector(game.n_players)
-        estimate_rows(x0, game.n_players, game.action_box)
+        check_x0(x0, game.n_players, game.action_box)
     except SettingError as e:
         raise ConfigError(f"admm.{e.field}", e.reason)
     return cfg, x0
@@ -268,9 +268,8 @@ def _setup(args):
     return cfg, seed, build_graph(_block(cfg, "graph"), seed)
 
 
-def _game(cfg: dict, seed: int, graph: CommGraph):
-    """The config's game, which must have one player per graph node."""
-    game = build_game(_block(cfg, "game"), seed)
+def _fits(game, graph: CommGraph):
+    """game, which must have one player per graph node."""
     if game.n_players != graph.n:
         raise ConfigError("game", "player count disagrees with graph size")
     return game
@@ -278,7 +277,7 @@ def _game(cfg: dict, seed: int, graph: CommGraph):
 
 def cmd_run(args) -> int:
     cfg, seed, graph = _setup(args)
-    game = _game(cfg, seed, graph)
+    game = _fits(build_game(_block(cfg, "game"), seed), graph)
     admm_cfg, x0 = build_admm(_block(cfg, "admm"), game)
     out = _output_dir(cfg, args.output_dir)
     result = run(game, graph, admm_cfg, x0=x0)
@@ -305,7 +304,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, seed, graph = _setup(args)
-    game = _game(cfg, seed, graph)
+    game = _fits(build_game(_block(cfg, "game"), seed), graph)
     admm_cfg, x0 = build_admm(_block(cfg, "admm"), game)
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
     tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
@@ -336,6 +335,8 @@ def cmd_check(args) -> int:
     flag = args.sigma_f is not None
     given = args.sigma_f if flag else cfg.get("sigma_f")
     sigma = None if given is None else _read(given, "--sigma-f" if flag else "config.sigma_f")
+    game = build_game(_block(cfg, "game"), seed)
+    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), game)
     connected = graph.is_connected()
     _emit(n=graph.n, edges=len(graph.edges), connected=connected)
     if not connected:
@@ -343,8 +344,7 @@ def cmd_check(args) -> int:
               "is not connected)", file=sys.stderr)
         return 1
 
-    game = _game(cfg, seed, graph)
-    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), game)
+    _fits(game, graph)  # a disconnected graph is reported before a size mismatch
     deg = graph.degrees()
     threshold = condition_threshold(admm_cfg, graph)
     _emit(

@@ -55,13 +55,13 @@ class ActionBox:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the box (componentwise clip)."""
-        return np.clip(x, self.lower, self.upper)
+    def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Euclidean projection onto the box (componentwise clip), into `out` if given."""
+        return np.clip(x, self.lower, self.upper, out=out)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform draw from the box."""
-        return rng.uniform(self.lower, self.upper)
+    def sample(self, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+        """Uniform draws from the box, shaped (*size, n), in the order of repeated single draws."""
+        return rng.uniform(self.lower, self.upper, size=(*size, self.n))
 
     @staticmethod
     def cube(n: int, lower: float, upper: float) -> "ActionBox":
@@ -75,7 +75,9 @@ class GameModel(abc.ABC):
     set `action_box` and a per-player cost `cost(i, x)` evaluated at a full
     profile x in R^N. `own_gradients(X)` takes one profile per player, row i
     for player i, and returns F_i(X[i]): the partial derivative of player i's
-    cost with respect to their own coordinate, at their own row.
+    cost with respect to their own coordinate, at their own row. X may be a
+    stack of such matrices, shaped (..., n, n); the result is then (..., n),
+    each matrix's gradients exactly as a call on that matrix alone gives them.
     """
 
     n_players: int
@@ -88,13 +90,15 @@ class GameModel(abc.ABC):
     def own_gradients(self, X: np.ndarray) -> np.ndarray: ...
 
     def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Stacked map F(x) = (F_i(x))_i at a common profile x."""
+        """Stacked map F(x) = (F_i(x))_i at a common profile x, or at each profile of x."""
         x = np.asarray(x, dtype=float)
-        return self.own_gradients(np.broadcast_to(x, (self.n_players, x.shape[0])))
+        return self.own_gradients(np.broadcast_to(x[..., None, :], (
+            *x.shape[:-1], self.n_players, x.shape[-1])))
 
-    def guard_activations(self, X: np.ndarray) -> int:
-        """Guarded cost terms clamped over all players, player i at row X[i] (0 if none)."""
-        return 0
+    def guard_activations(self, X: np.ndarray):
+        """Guarded cost terms clamped over all players, player i at row X[..., i, :]:
+        an int for one matrix, one count per matrix for a stack (0 if none)."""
+        return 0 if np.ndim(X) == 2 else np.zeros(np.shape(X)[:-2], dtype=int)
 
     def _check_index(self, i: int):
         if not (0 <= i < self.n_players):
@@ -135,9 +139,9 @@ class QuadraticGame(GameModel):
 
     def own_gradients(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        # row-wise B[i] @ X[i], summed exactly as that dot product sums it
-        coupling = np.matmul(self.B[:, None, :], X[:, :, None])[:, 0, 0]
-        return self.a * np.diagonal(X) + coupling + self.d
+        # row-wise B[i] @ X[..., i, :], summed exactly as that dot product sums it
+        coupling = np.matmul(self.B[:, None, :], X[..., None])[..., 0, 0]
+        return self.a * X.diagonal(0, -2, -1) + coupling + self.d
 
 
 def quadratic_ne(game: QuadraticGame) -> np.ndarray:
@@ -237,8 +241,9 @@ class WanetGame(GameModel):
         self._on_route = usage > 0
 
     def link_loads(self, x: np.ndarray) -> np.ndarray:
-        """Total flow per link (axis 0) at profile x, or at each row of a stack x (axis 1)."""
-        return self._usage @ np.asarray(x, dtype=float).T
+        """Total flow per link at profile x (links on axis 0), or at each row of x (axis -2)."""
+        x = np.asarray(x, dtype=float)
+        return self._usage @ (x if x.ndim == 1 else x.swapaxes(-1, -2))
 
     def residual_capacities(self, x: np.ndarray) -> np.ndarray:
         """C_j - load_j per link before guarding, shaped like `link_loads(x)`."""
@@ -254,15 +259,16 @@ class WanetGame(GameModel):
     def own_gradients(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         den = np.maximum(self.residual_capacities(X), self.eps_guard)
-        # off-route terms are exactly 0.0, and this C-ordered (links, rows)
-        # array sums along axis 0 in ascending link order, so column i sums
-        # as user i's route terms alone would
-        price = np.where(self._on_route, self.kappa / den**2, 0.0).sum(axis=0)
-        return price - self.chi / (np.diagonal(X) + 1.0)
+        # off-route terms are exactly 0.0, and this C-ordered (..., links, rows)
+        # array sums along the links axis in ascending link order, so column i
+        # sums as user i's route terms alone would
+        price = np.where(self._on_route, self.kappa / den**2, 0.0).sum(axis=-2)
+        return price - self.chi / (X.diagonal(0, -2, -1) + 1.0)
 
-    def guard_activations(self, X: np.ndarray) -> int:
+    def guard_activations(self, X: np.ndarray):
         clamped = self.residual_capacities(X) < self.eps_guard
-        return int(np.count_nonzero(clamped & self._on_route))
+        counts = (clamped & self._on_route).sum(axis=(-2, -1))
+        return int(counts) if np.ndim(X) == 2 else counts
 
 
 def default_wanet_instance(seed: int) -> tuple[WanetGame, CommGraph]:
@@ -328,19 +334,12 @@ def estimate_sigma_f(game: GameModel, box: ActionBox, samples: int, seed: int) -
     """
     if samples < 2:
         raise ValueError("need at least 2 sample pairs")
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    informative = 0
-    for _ in range(samples):
-        x = box.sample(rng)
-        y = box.sample(rng)
-        fx, fy = game.pseudo_gradient(x), game.pseudo_gradient(y)
-        df = fx - fy
-        denom = float(df @ df)
-        if denom <= 1e-12**2:
-            continue
-        informative += 1
-        best = min(best, float(df @ (x - y)) / denom)
-    if informative == 0:
+    x, y = box.sample(np.random.default_rng(seed), (samples, 2)).swapaxes(0, 1)
+    df = game.pseudo_gradient(x) - game.pseudo_gradient(y)
+    # row by row, summed as the dot product u_s @ v_s sums it
+    dot = lambda u, v: np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+    denom = dot(df, df)
+    moved = denom > 1e-12**2
+    if not moved.any():
         raise SigmaEstimationError("cocoercivity not estimable: F constant on all sampled pairs")
-    return max(0.0, best)
+    return max(0.0, float(np.min(dot(df, x - y)[moved] / denom[moved])))

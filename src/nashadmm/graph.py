@@ -92,22 +92,22 @@ class CommGraph:
         return self._ends
 
     def neighbor_sums(self, X: np.ndarray) -> np.ndarray:
-        """Row i = sum of the rows X[j], j in N_i, added in ascending j (a
-        fixed order, so repeated runs are bit-identical)."""
+        """Row i = sum of the rows X[..., j, :], j in N_i, added in ascending j
+        (a fixed order, so repeated runs are bit-identical); X may be a stack."""
         (rows, cols), *rest = self._slots
         if rows.size == self.n:
-            S = X[cols]
+            S = X.take(cols, axis=-2)
         else:
             S = np.zeros_like(X)  # degree-0 rows
-            S[rows] = X[cols]
+            S[..., rows, :] = X.take(cols, axis=-2)
         # A sum starts from +0.0, so all -0.0 neighbors sum to +0.0; adding +0.0
         # to the first term gives that sign and leaves every other value as it is.
         S += 0.0
         for rows, cols in rest:
             if rows.size == self.n:
-                S += X[cols]
+                S += X.take(cols, axis=-2)
             else:
-                S[rows] += X[cols]
+                S[..., rows, :] += X.take(cols, axis=-2)
         return S
 
     def adjacency(self) -> np.ndarray:

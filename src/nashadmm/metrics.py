@@ -16,13 +16,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One sampled iteration: actions plus the two stopping metrics.
 
     `guard_activations` counts clamped congestion terms summed over players
     (always 0 for games without guards). `elapsed` is wall-clock seconds spent
-    in the solver up to and including this iteration.
+    in the solver, or in the stack of runs it belongs to, up to this iteration.
     """
 
     k: int
@@ -33,29 +33,33 @@ class IterationRecord:
     elapsed: float
 
 
-def consensus_error(X: np.ndarray, graph: CommGraph) -> float:
+def consensus_error(X: np.ndarray, graph: CommGraph):
     """max over communication edges (i, j) of ||x^i - x^j||_inf.
 
-    X holds one local profile estimate per row. Zero for n = 1 or an edgeless
+    X holds one local profile estimate per row: a float for one matrix, one
+    value per matrix for a stack (..., n, n). Zero for n = 1 or an edgeless
     graph (vacuous maximum); NaN when an edge's difference is NaN.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape[0] != graph.n:
+    if X.shape[-2] != graph.n:
         raise ValueError("row count disagrees with graph size")
     i, j = graph.edge_index()
     # about 2^20 differences at a time, so dense graphs stay in bounded memory
-    block = max(1, (1 << 20) // max(1, X.shape[1]))
-    peaks = [np.max(np.abs(X[i[s:s + block]] - X[j[s:s + block]]))
+    block = max(1, (1 << 20) // max(1, X[..., 0, :].size))
+    rows = lambda e: X.take(e, axis=-2)
+    peaks = [np.max(np.abs(rows(i[s:s + block]) - rows(j[s:s + block])), axis=(-2, -1))
              for s in range(0, i.size, block)]
-    return float(np.max(peaks)) if peaks else 0.0
+    peak = np.max(peaks, axis=0) if peaks else np.zeros(X.shape[:-2])
+    return float(peak) if X.ndim == 2 else peak
 
 
-def ne_residual(x: np.ndarray, game: GameModel) -> float:
-    """||x - Proj_box(x - F(x))||_inf, a fixed-point gap at profile x.
+def ne_residual(x: np.ndarray, game: GameModel):
+    """||x - Proj_box(x - F(x))||_inf, a fixed-point gap at profile x: a float
+    for one profile, one value per profile for a stack (..., n).
 
     Zero exactly at an equilibrium: the projection absorbs the pseudo-gradient
     at active bounds, while interior coordinates need F_i(x) = 0.
     """
     x = np.asarray(x, dtype=float)
-    step = game.action_box.project(x - game.pseudo_gradient(x))
-    return float(np.max(np.abs(x - step)))
+    gap = np.max(np.abs(x - game.action_box.project(x - game.pseudo_gradient(x))), axis=-1)
+    return float(gap) if x.ndim == 1 else gap

@@ -221,7 +221,7 @@ def test_run_divergence_reported_with_iteration():
             return 0.0
 
         def own_gradients(self, X):
-            return np.where(np.diagonal(X) > 0.25, np.nan, -1.0)
+            return np.where(np.diagonal(X, axis1=-2, axis2=-1) > 0.25, np.nan, -1.0)
 
     res = run(PoisonGame(), path(2), AdmmConfig(max_iter=50), x0=np.zeros(2))
     assert res.reason == "diverged"

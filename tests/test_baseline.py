@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nashadmm import (
     ring,
     run_baseline,
 )
+from nashadmm.baseline import _sweep
 
 
 def decoupled(n=2, a=1.0, d=-1.0, half=10.0):
@@ -124,3 +127,56 @@ def test_compare_infinite_ratio_when_baseline_never_converges():
     assert rep.baseline_reason == "iteration budget"
     assert rep.ratio == float("inf")
     assert rep.baseline_iterations is None and rep.baseline_gamma is None
+
+
+class CappedGame(QuadraticGame):
+    """A quadratic game whose gradient turns NaN once an own action passes 9.5,
+    so a step size that overshoots diverges instead of bouncing off the box."""
+
+    def own_gradients(self, X):
+        X = np.asarray(X, dtype=float)
+        return np.where(np.abs(X.diagonal(0, -2, -1)) > 9.5, np.nan, super().own_gradients(X))
+
+
+def _capped_problem():
+    q = random_quadratic_game(6, seed=4)
+    cfg = BaselineConfig(max_iter=1500, tol_consensus=1e-6, tol_residual=1e-6)
+    return CappedGame(q.a, q.B, q.d, q.action_box), random_connected_graph(6, 2, 13), cfg
+
+
+def _bits(result):
+    """Everything a run reports, as bytes where it is an array or a float."""
+    records = [(r.k, r.actions.tobytes(), np.array([r.consensus_error, r.ne_residual]).tobytes(),
+                r.guard_activations) for r in result.records]
+    return records, result.state.X.tobytes(), result.state.k, result.reason, result.diverged_at
+
+
+def test_stacked_sweep_matches_separate_runs():
+    game, graph, cfg = _capped_problem()
+    gammas = (0.2, 0.6, 0.05, 0.002, 0.1)
+    runs = _sweep(game, graph, cfg, gammas, None)
+    assert [r.reason for r in runs] == ["converged", "diverged", "converged",
+                                        "iteration budget", "converged"]
+    for g, stacked in zip(gammas, runs):
+        alone = run_baseline(game, graph, replace(cfg, gamma=g))
+        assert _bits(stacked) == _bits(alone)
+        # and the stack's step is the public one, applied member by member
+        state = init_state(game, graph)
+        for _ in range(3):
+            state = baseline_step(state, game, graph, replace(cfg, gamma=g))
+        assert stacked.records[3].actions.tobytes() == np.diagonal(state.X).tobytes()
+
+
+def test_dropping_a_member_keeps_the_others_bits():
+    game, graph, cfg = _capped_problem()
+    runs = _sweep(game, graph, cfg, (0.2, 0.6, 0.05), None)
+    # the diverging member leaves the stack at iteration 4, the others go on
+    assert runs[1].diverged_at == 4 < runs[0].state.k
+    without = _sweep(game, graph, cfg, (0.2, 0.05), None)
+    assert [_bits(r) for r in without] == [_bits(runs[0]), _bits(runs[2])]
+
+
+def test_run_baseline_result_keeps_a_zero_dual():
+    game = decoupled()
+    res = run_baseline(game, path(2), BaselineConfig(gamma=0.1))
+    assert res.state.W.shape == (2, 2) and not res.state.W.any()

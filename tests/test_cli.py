@@ -411,6 +411,20 @@ def test_check_bad_flag_is_rejected_before_the_report(tmp_path, capsys, flag, me
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("block, value, message", [
+    ("game", {"type": "wanet", "seed": -1}, "game.seed: must be nonnegative"),
+    ("admm", {"c": -1.0}, "admm.c: must be positive"),
+])
+def test_check_bad_block_is_rejected_before_the_report(tmp_path, capsys, block, value, message):
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg[block] = value
+    rc = cli.main(["check", write_cfg(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_sigma_not_estimable(tmp_path, capsys):
     cfg = {
         "seed": 0,

@@ -224,6 +224,31 @@ def test_wanet_guard_keeps_cost_total():
     assert g3.guard_activations(X) == 2
 
 
+@pytest.mark.parametrize("game, lo, hi", [
+    (default_wanet_instance(7)[0], 0.0, 6.0),
+    (random_quadratic_game(15, 4), -10.0, 10.0),
+    (random_quadratic_game(200, 0), -10.0, 10.0),
+], ids=["wanet15", "quad15", "quad200"])
+def test_stacked_gradients_bitwise(game, lo, hi):
+    n = game.n_players
+    rng = np.random.default_rng(1)
+    X = rng.uniform(lo, hi, size=(2, 3, n, n))
+    X[rng.random(X.shape) < 0.2] = -0.0
+    # each matrix of the stack gives the bytes a call on that matrix alone gives
+    grads, guards = game.own_gradients(X), game.guard_activations(X)
+    assert grads.shape == (2, 3, n) and guards.shape == (2, 3)
+    profiles = X[:, :, 0, :]
+    pseudo = game.pseudo_gradient(profiles)
+    for a in range(2):
+        for b in range(3):
+            assert grads[a, b].tobytes() == game.own_gradients(X[a, b]).tobytes()
+            assert guards[a, b] == game.guard_activations(X[a, b])
+            assert pseudo[a, b].tobytes() == game.pseudo_gradient(profiles[a, b]).tobytes()
+    assert type(game.guard_activations(X[0, 0])) is int
+    if isinstance(game, WanetGame):  # loads up to 12 on capacity-10 links: guards fire
+        assert guards.sum() > 0
+
+
 def test_wanet_validation():
     with pytest.raises(ValueError):
         WanetGame([0.0], [[0]])
@@ -322,11 +347,24 @@ def test_sigma_estimate_skips_uninformative_pairs():
             return 0.0
 
         def own_gradients(self, X):
-            return np.floor(4.0 * np.diagonal(X))
+            return np.floor(4.0 * np.diagonal(X, axis1=-2, axis2=-1))
 
     est = estimate_sigma_f(QuantizedGame(), QuantizedGame.action_box,
                            samples=200, seed=3)
     assert est >= 0.0 and np.isfinite(est)
+
+
+def test_sigma_estimate_matches_pairwise_loop(wanet_default):
+    # the batched estimate draws the pairs and sums the dot products as a
+    # pair-by-pair loop does, so the two agree bit for bit
+    for game in (wanet_default[0], random_quadratic_game(9, 2)):
+        rng, best = np.random.default_rng(5), np.inf
+        for _ in range(60):
+            x, y = game.action_box.sample(rng), game.action_box.sample(rng)
+            df = game.pseudo_gradient(x) - game.pseudo_gradient(y)
+            if df @ df > 1e-12**2:
+                best = min(best, float(df @ (x - y)) / float(df @ df))
+        assert estimate_sigma_f(game, game.action_box, 60, 5) == max(0.0, best)
 
 
 def test_sigma_estimate_needs_two_samples():

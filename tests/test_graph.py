@@ -137,6 +137,20 @@ def test_neighbor_sums_bitwise(graph):
     assert graph.neighbor_sums(X).tobytes() == neighbor_sums_loop(X, graph).tobytes()
 
 
+@pytest.mark.parametrize("graph", [
+    ring(200), random_connected_graph(15, 5, 7),
+    CommGraph(12, frozenset((0, j) for j in range(1, 12))),
+], ids=["ring200", "random15", "star12"])
+def test_stacked_neighbor_sums_bitwise(graph):
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((3, graph.n, graph.n))
+    X[rng.random(X.shape) < 0.2] = -0.0
+    S = graph.neighbor_sums(X)
+    assert S.shape == X.shape
+    for g in range(3):
+        assert S[g].tobytes() == neighbor_sums_loop(X[g], graph).tobytes()
+
+
 def test_degree_adjacency_consistency():
     g = random_connected_graph(9, 4, 3)
     A = g.adjacency()

@@ -63,6 +63,22 @@ def test_consensus_error_permutation_invariant():
         assert math.isclose(consensus_error(X, g), consensus_error(Xp, gp), rel_tol=1e-12)
 
 
+def test_metrics_of_a_stack_are_those_of_each_member():
+    g, graph = random_quadratic_game(6, seed=2), random_connected_graph(6, 2, 5)
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-10.0, 10.0, size=(4, 6, 6))
+    X[1] = X[1, 0]  # a member at consensus
+    X[2, 3, 1] = np.nan  # and one with a NaN estimate
+    ce, nr = consensus_error(X, graph), ne_residual(X[:, :, 0], g)
+    assert ce.shape == nr.shape == (4,)
+    assert ce[1] == 0.0 and math.isnan(ce[2])
+    for m in range(4):
+        assert type(consensus_error(X[m], graph)) is float
+        assert type(ne_residual(X[m, :, 0], g)) is float
+        assert np.array_equal(ce[m], consensus_error(X[m], graph), equal_nan=True)
+        assert nr[m] == ne_residual(X[m, :, 0], g)
+
+
 def test_ne_residual_zero_at_oracle_ne():
     g = random_quadratic_game(4, seed=2)
     assert ne_residual(quadratic_ne(g), g) <= 1e-10
