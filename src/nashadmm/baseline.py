@@ -132,9 +132,7 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     badly tuned gamma.
     """
     a_cfg = replace(admm_cfg, tol_consensus=tol, tol_residual=tol)
-    admm_result = admm_run(game, graph, a_cfg, x0=x0)
-    admm_iters = admm_result.state.k if admm_result.reason == "converged" else None
-
+    a_cfg.beta_vector(graph.n)  # a bad beta is reported before the sweep runs
     gammas = [float(g) for g in (baseline_cfg.sweep or (baseline_cfg.gamma,))]
     runs = _sweep(game, graph, replace(baseline_cfg, tol_consensus=tol, tol_residual=tol),
                   gammas, x0)
@@ -142,14 +140,17 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
                      for g, r in zip(gammas, runs)]
     done = [(k, b) for b, (_, _, k) in enumerate(sweep_results) if k is not None]
     b = min(done)[1] if done else -1  # the fewest iterations; ties go to the earlier step size
-    base_iters, reasons = sweep_results[b][2], {r.reason for r in runs}
+    base_res, base_iters, reasons = runs[b], sweep_results[b][2], {r.reason for r in runs}
     base_reason = "converged" if done else "diverged" if "diverged" in reasons \
         else "iteration budget"
+    del runs  # the unreported runs' records go before the ADMM run adds its own
+    admm_result = admm_run(game, graph, a_cfg, x0=x0)
+    admm_iters = admm_result.state.k if admm_result.reason == "converged" else None
     ratio = None if admm_iters is None else float("inf") if base_iters is None \
         else base_iters / admm_iters
     return ComparisonReport(
         tol=tol, admm_reason=admm_result.reason, admm_iterations=admm_iters,
         baseline_reason=base_reason, baseline_iterations=base_iters,
         baseline_gamma=gammas[b] if done else None, sweep_results=tuple(sweep_results),
-        ratio=ratio, admm_result=admm_result, baseline_result=runs[b],
+        ratio=ratio, admm_result=admm_result, baseline_result=base_res,
     )

@@ -117,7 +117,7 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     while True:
         actions = X.diagonal(0, -2, -1)
         ce, nr = consensus_error(X, graph).tolist(), ne_residual(actions.copy(), game).tolist()
-        guards, done = None, []
+        guards, done, elapsed = None, [], time.perf_counter() - t0
         for g, m in enumerate(live):
             ok = finite[g]
             converged = k > 0 and ok and ce[g] <= stop.tol_consensus and nr[g] <= stop.tol_residual
@@ -126,7 +126,7 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
                 if guards is None:
                     guards = game.guard_activations(X).tolist()
                 records[m].append(IterationRecord(
-                    k, actions[g].copy(), ce[g], nr[g], guards[g], time.perf_counter() - t0))
+                    k, actions[g].copy(), ce[g], nr[g], guards[g], elapsed))
             if last:
                 state = SolverState(X[g], np.zeros_like(X[g]) if W is None else W[g], k)
                 reason = "converged" if converged else "iteration budget" if ok else "diverged"

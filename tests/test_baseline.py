@@ -180,3 +180,10 @@ def test_run_baseline_result_keeps_a_zero_dual():
     game = decoupled()
     res = run_baseline(game, path(2), BaselineConfig(gamma=0.1))
     assert res.state.W.shape == (2, 2) and not res.state.W.any()
+
+
+def test_compare_rejects_a_bad_beta_before_sweeping():
+    game = random_quadratic_game(5, seed=11)
+    base = BaselineConfig(sweep=(0.1,), max_iter=10**9)  # a sweep that would not end soon
+    with pytest.raises(ValueError, match="beta has 2 entries for 5 players"):
+        compare(game, ring(5), AdmmConfig(beta=(1.0, 2.0)), base, tol=1e-30)
