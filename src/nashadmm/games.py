@@ -59,9 +59,9 @@ class ActionBox:
         """Euclidean projection onto the box (componentwise clip), into `out` if given."""
         return np.clip(x, self.lower, self.upper, out=out)
 
-    def sample(self, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
-        """Uniform draws from the box, shaped (*size, n), in the order of repeated single draws."""
-        return rng.uniform(self.lower, self.upper, size=(*size, self.n))
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One uniform draw from the box."""
+        return rng.uniform(self.lower, self.upper)
 
     @staticmethod
     def cube(n: int, lower: float, upper: float) -> "ActionBox":
@@ -334,12 +334,19 @@ def estimate_sigma_f(game: GameModel, box: ActionBox, samples: int, seed: int) -
     """
     if samples < 2:
         raise ValueError("need at least 2 sample pairs")
-    x, y = box.sample(np.random.default_rng(seed), (samples, 2)).swapaxes(0, 1)
-    df = game.pseudo_gradient(x) - game.pseudo_gradient(y)
-    # row by row, summed as the dot product u_s @ v_s sums it
-    dot = lambda u, v: np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-    denom = dot(df, df)
-    moved = denom > 1e-12**2
-    if not moved.any():
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    informative = 0
+    for _ in range(samples):
+        x = box.sample(rng)
+        y = box.sample(rng)
+        fx, fy = game.pseudo_gradient(x), game.pseudo_gradient(y)
+        df = fx - fy
+        denom = float(df @ df)
+        if denom <= 1e-12**2:
+            continue
+        informative += 1
+        best = min(best, float(df @ (x - y)) / denom)
+    if informative == 0:
         raise SigmaEstimationError("cocoercivity not estimable: F constant on all sampled pairs")
-    return max(0.0, float(np.min(dot(df, x - y)[moved] / denom[moved])))
+    return max(0.0, best)

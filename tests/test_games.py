@@ -354,19 +354,6 @@ def test_sigma_estimate_skips_uninformative_pairs():
     assert est >= 0.0 and np.isfinite(est)
 
 
-def test_sigma_estimate_matches_pairwise_loop(wanet_default):
-    # the batched estimate draws the pairs and sums the dot products as a
-    # pair-by-pair loop does, so the two agree bit for bit
-    for game in (wanet_default[0], random_quadratic_game(9, 2)):
-        rng, best = np.random.default_rng(5), np.inf
-        for _ in range(60):
-            x, y = game.action_box.sample(rng), game.action_box.sample(rng)
-            df = game.pseudo_gradient(x) - game.pseudo_gradient(y)
-            if df @ df > 1e-12**2:
-                best = min(best, float(df @ (x - y)) / float(df @ df))
-        assert estimate_sigma_f(game, game.action_box, 60, 5) == max(0.0, best)
-
-
 def test_sigma_estimate_needs_two_samples():
     g = QuadraticGame([1.0], np.zeros((1, 1)), [0.0], ActionBox.cube(1, 0, 1))
     with pytest.raises(ValueError):
