@@ -40,6 +40,7 @@ class BaselineConfig(StopRule):
         _check(self.gamma > 0, "gamma", "must be positive")
         if self.sweep is not None:
             sweep = tuple(float(g) for g in self.sweep)
+            _check(len(sweep) > 0, "sweep", "must list at least one step size")
             _check(all(g > 0 for g in sweep), "sweep", "step sizes must be positive")
             object.__setattr__(self, "sweep", sweep)
 

@@ -32,7 +32,7 @@ from .games import (
     estimate_sigma_f,
 )
 from .graph import CommGraph, complete, path, random_connected_graph, ring
-from .loop import SettingError, check_x0
+from .loop import SettingError, check_problem
 
 TRACE_COLUMNS = ["k", "player", "action", "consensus_error", "ne_residual",
                  "guard_activations", "elapsed_us"]
@@ -195,18 +195,19 @@ def build_graph(block: dict, default_seed: int) -> CommGraph:
         raise ConfigError("graph", str(e))
 
 
-def build_admm(block: dict, game):
-    """Solver settings and x0 for the game, checked by the library's own rules."""
+def build_admm(block: dict, game, graph: CommGraph):
+    """Solver settings and the start x0 for game on graph, passed through the
+    library's input gate, whose game and graph errors keep their own paths."""
     x0 = block.get("x0", "zeros")
     if isinstance(x0, str) and x0 != "zeros":
         raise ConfigError("admm.x0", f"unknown preset {x0!r}")
     x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1, 2))
     cfg = read_settings(AdmmConfig, block, "admm")
     try:
-        cfg.beta_vector(game.n_players)
-        check_x0(x0, game.n_players, game.action_box)
+        cfg.beta_vector(graph.n)
+        x0 = check_problem(game, graph, x0)
     except SettingError as e:
-        raise ConfigError(f"admm.{e.field}", e.reason)
+        raise ConfigError(e.field if e.field in ("game", "graph") else f"admm.{e.field}", e.reason)
     return cfg, x0
 
 
@@ -231,7 +232,7 @@ def _output_dir(cfg: dict, flag_value) -> Path:
     return Path(d)
 
 
-def write_trace(path: Path, records, n_players: int, timing: bool = False):
+def write_trace(path: Path, records, timing: bool = False):
     """Long-format CSV: one row per recorded iteration per player, each ended
     by CRLF as csv.writer ends it.
 
@@ -245,7 +246,7 @@ def write_trace(path: Path, records, n_players: int, timing: bool = False):
             ce, nr = float(r.consensus_error), float(r.ne_residual)
             tail = f"{ce!r},{nr!r},{r.guard_activations},{us}\r\n"
             actions = r.actions.tolist()
-            f.write("".join(f"{r.k},{i},{actions[i]!r},{tail}" for i in range(n_players)))
+            f.write("".join(f"{r.k},{i},{a!r},{tail}" for i, a in enumerate(actions)))
 
 
 def _fmt(v) -> str:
@@ -262,28 +263,23 @@ def _emit(**pairs):
 
 
 def _setup(args):
-    """The config, its seed and the communication graph every command starts from."""
+    """The config, its seed, and the graph, game, solver settings and start
+    every command works on, all through the input gate (`check` may omit admm)."""
     cfg = load_config(args.config)
     seed = _seed(_require(cfg, "seed", "config"), "config.seed")
-    return cfg, seed, build_graph(_block(cfg, "graph"), seed)
-
-
-def _fits(game, graph: CommGraph):
-    """game, which must have one player per graph node."""
-    if game.n_players != graph.n:
-        raise ConfigError("game", "player count disagrees with graph size")
-    return game
+    graph = build_graph(_block(cfg, "graph"), seed)
+    game = build_game(_block(cfg, "game"), seed)
+    admm_cfg, x0 = build_admm(_block(cfg, "admm", optional=args.command == "check"), game, graph)
+    return cfg, seed, graph, game, admm_cfg, x0
 
 
 def cmd_run(args) -> int:
-    cfg, seed, graph = _setup(args)
-    game = _fits(build_game(_block(cfg, "game"), seed), graph)
-    admm_cfg, x0 = build_admm(_block(cfg, "admm"), game)
+    cfg, _, graph, game, admm_cfg, x0 = _setup(args)
     out = _output_dir(cfg, args.output_dir)
     result = run(game, graph, admm_cfg, x0=x0)
 
     trace = out / "trace.csv"
-    write_trace(trace, result.records, graph.n, timing=args.timing)
+    write_trace(trace, result.records, timing=args.timing)
 
     final = result.records[-1]
     _emit(
@@ -303,9 +299,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, seed, graph = _setup(args)
-    game = _fits(build_game(_block(cfg, "game"), seed), graph)
-    admm_cfg, x0 = build_admm(_block(cfg, "admm"), game)
+    cfg, _, graph, game, admm_cfg, x0 = _setup(args)
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
     tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
                 "compare.tol")
@@ -316,8 +310,8 @@ def cmd_compare(args) -> int:
 
     trace_a = out / "trace_admm.csv"
     trace_b = out / "trace_baseline.csv"
-    write_trace(trace_a, report.admm_result.records, graph.n, timing=args.timing)
-    write_trace(trace_b, report.baseline_result.records, graph.n, timing=args.timing)
+    write_trace(trace_a, report.admm_result.records, timing=args.timing)
+    write_trace(trace_b, report.baseline_result.records, timing=args.timing)
     _emit(tol=report.tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,
           baseline_reason=report.baseline_reason, baseline_iterations=report.baseline_iterations,
           baseline_gamma=report.baseline_gamma, ratio=report.ratio,
@@ -329,25 +323,18 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     """Print the graph, the spectral threshold, then sigma_F and the condition verdict."""
-    cfg, seed, graph = _setup(args)
+    cfg, seed, graph, game, admm_cfg, _ = _setup(args)
     if args.samples < 2:
         raise ConfigError("--samples", "must be at least 2")
     flag = args.sigma_f is not None
     given = args.sigma_f if flag else cfg.get("sigma_f")
     sigma = None if given is None else _read(given, "--sigma-f" if flag else "config.sigma_f")
-    game = build_game(_block(cfg, "game"), seed)
-    admm_cfg, _ = build_admm(_block(cfg, "admm", optional=True), game)
-    connected = graph.is_connected()
-    _emit(n=graph.n, edges=len(graph.edges), connected=connected)
-    if not connected:
-        print("error: connectivity assumption violated (communication graph "
-              "is not connected)", file=sys.stderr)
-        return 1
-
-    _fits(game, graph)  # a disconnected graph is reported before a size mismatch
     deg = graph.degrees()
     threshold = condition_threshold(admm_cfg, graph)
     _emit(
+        n=graph.n,
+        edges=len(graph.edges),
+        connected=True,  # the input gate rejected any other graph
         degree_min=int(deg.min()),
         degree_max=int(deg.max()),
         lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
@@ -358,7 +345,7 @@ def cmd_check(args) -> int:
     )
     source = "given"
     if sigma is None:  # main reports a SigmaEstimationError
-        sigma, source = estimate_sigma_f(game, game.action_box, args.samples, seed), "estimated"
+        sigma, source = estimate_sigma_f(game, args.samples, seed), "estimated"
     if sigma > 0:
         ok, margin = check_condition(sigma, admm_cfg, graph)
     else:

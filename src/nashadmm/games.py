@@ -323,18 +323,18 @@ class SigmaEstimationError(RuntimeError):
     """All sampled profile pairs left the pseudo-gradient unchanged."""
 
 
-def estimate_sigma_f(game: GameModel, box: ActionBox, samples: int, seed: int) -> float:
-    """Sampled estimate of the cocoercivity constant of F over a box.
+def estimate_sigma_f(game: GameModel, samples: int, seed: int) -> float:
+    """Sampled estimate of the cocoercivity constant of F over the action box.
 
-    Draws `samples` profile pairs (x, y) uniformly from `box` and returns the
-    minimum of (F(x)-F(y))^T (x-y) / ||F(x)-F(y)||^2 over pairs where F moved.
-    The true constant is the infimum over all pairs, so the returned value is
-    an optimistic estimate, not a certificate. Floored at 0.0 when some pair
-    exhibits no positive cocoercivity at all.
+    Draws `samples` profile pairs (x, y) uniformly from `game.action_box` and
+    returns the minimum of (F(x)-F(y))^T (x-y) / ||F(x)-F(y)||^2 over pairs
+    where F moved. The true constant is the infimum over all pairs, so the
+    returned value is an optimistic estimate, not a certificate. Floored at
+    0.0 when some pair exhibits no positive cocoercivity at all.
     """
     if samples < 2:
         raise ValueError("need at least 2 sample pairs")
-    rng = np.random.default_rng(seed)
+    rng, box = np.random.default_rng(seed), game.action_box
     best = np.inf
     informative = 0
     for _ in range(samples):

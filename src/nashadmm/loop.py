@@ -1,5 +1,6 @@
-"""The solver state, the stopping rule and the iteration loop both solvers share:
-the loop steps a stack of independent runs at once, and a single run is a stack of one."""
+"""The input gate, the solver state, the stopping rule and the iteration loop
+both solvers share: the loop steps a stack of independent runs at once, and a
+single run is a stack of one."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import ActionBox, GameModel
+from .games import GameModel
 from .graph import CommGraph
 from .metrics import IterationRecord, consensus_error, ne_residual
 
@@ -73,13 +74,21 @@ class RunResult:
     diverged_at: int | None = None
 
 
-def check_x0(x0, n: int, box: ActionBox) -> np.ndarray:
-    """x0 (default 0) as a profile or an n-by-n estimate matrix whose rows lie in the box."""
+def check_problem(game: GameModel, graph: CommGraph, x0=None) -> np.ndarray:
+    """The start x0 (default 0) for game on graph, after the checks both solvers
+    rely on: one player per node of a connected graph of at least 2 nodes, and
+    x0 a profile or an n-by-n estimate matrix whose rows lie in the action box.
+    A failed check raises SettingError with field "game", "graph" or "x0"."""
+    n = graph.n
+    _check(game.n_players == n, "game", "player count disagrees with graph size")
+    _check(n >= 2, "graph", "needs at least 2 nodes (a single-player game is plain minimization)")
+    _check(graph.is_connected(), "graph",
+           "connectivity assumption violated (communication graph is not connected)")
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (n, n)):
         raise SettingError("x0", f"must have {n} coordinates" if x0.ndim == 1 else
                            "must be a profile of length n or an n-by-n estimate matrix")
-    rows = np.atleast_2d(x0)  # a profile is checked once, not once per copy
+    rows, box = np.atleast_2d(x0), game.action_box  # a profile is checked once, not once per copy
     outside = ~np.all((rows >= box.lower) & (rows <= box.upper), axis=1)  # NaN is outside
     if outside.any():
         raise SettingError("x0", f"has row {np.flatnonzero(outside)[0]} outside the action box")
@@ -88,15 +97,8 @@ def check_x0(x0, n: int, box: ActionBox) -> np.ndarray:
 
 def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
     """Fresh solver state at k = 0: rows broadcast from x0 (default 0), W = 0."""
-    n = graph.n
-    if game.n_players != n:
-        raise ValueError(f"game has {game.n_players} players but graph has {n} nodes")
-    if n < 2:
-        raise ValueError("solver needs n >= 2 (single-player games are plain minimization)")
-    if not graph.is_connected():
-        raise ValueError("communication graph must be connected")
-    x0 = check_x0(x0, n, game.action_box)
-    X = x0[None].repeat(n, axis=0) if x0.ndim == 1 else x0.copy()
+    x0 = check_problem(game, graph, x0)
+    X = x0[None].repeat(graph.n, axis=0) if x0.ndim == 1 else x0.copy()
     return SolverState(X=X, W=np.zeros_like(X), k=0)
 
 

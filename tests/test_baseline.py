@@ -31,6 +31,8 @@ def test_config_validation():
         BaselineConfig(gamma=0.0)
     with pytest.raises(ValueError):
         BaselineConfig(sweep=(0.1, -0.2))
+    with pytest.raises(ValueError, match="at least one step size"):
+        BaselineConfig(sweep=())
     with pytest.raises(ValueError):
         BaselineConfig(record_every=0)
     assert BaselineConfig(sweep=None).sweep is None

@@ -104,15 +104,15 @@ def test_run_byte_identical(tmp_path, capsys):
     assert (dirs[0] / "trace.csv").read_bytes() == (dirs[1] / "trace.csv").read_bytes()
 
 
-def _csv_writer_trace(path, records, n_players, timing):
+def _csv_writer_trace(path, records, timing):
     """The trace as csv.writer writes it, the reference for write_trace's bytes."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(cli.TRACE_COLUMNS)
         for r in records:
             us = int(round(r.elapsed * 1e6)) if timing else 0
-            for i in range(n_players):
-                w.writerow([r.k, i, repr(float(r.actions[i])), repr(float(r.consensus_error)),
+            for i, a in enumerate(r.actions):
+                w.writerow([r.k, i, repr(float(a)), repr(float(r.consensus_error)),
                             repr(float(r.ne_residual)), r.guard_activations, us])
 
 
@@ -129,8 +129,8 @@ def test_write_trace_bytes_match_csv_writer(tmp_path, timing):
                         consensus_error=float("nan"), ne_residual=float("inf"),
                         guard_activations=12, elapsed=2.5e-7),
     ]
-    cli.write_trace(tmp_path / "new.csv", records, 4, timing=timing)
-    _csv_writer_trace(tmp_path / "ref.csv", records, 4, timing)
+    cli.write_trace(tmp_path / "new.csv", records, timing=timing)
+    _csv_writer_trace(tmp_path / "ref.csv", records, timing)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -222,6 +222,16 @@ def test_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", None], ids=["top-level-list", "missing-file"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    if text is not None:
+        p.write_text(text)
+    rc = cli.main(["run", str(p), "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+
+
 def test_unknown_game_type(tmp_path, capsys):
     cfg = copy.deepcopy(QUAD)
     cfg["game"] = {"type": "auction"}
@@ -240,6 +250,10 @@ def test_quadratic_missing_field_names_path(tmp_path, capsys):
 
 WANET_CAPS = {"type": "wanet", "routes": [[0], [0, 1], [1]]}
 QUAD_SCALAR_A = {**QUAD["game"], "a": 2.0}
+DISCONNECTED = {"type": "explicit", "n": 15, "edges": [[0, 1]]}
+ONE_PLAYER = {"game": {"type": "quadratic", "a": [1.0], "B": [[0.0]], "d": [0.0],
+                       "box": {"lower": -1, "upper": 1}},
+              "graph": {"type": "explicit", "n": 1, "edges": []}}
 
 
 def _set(cfg: dict, dotted: str, value) -> None:
@@ -286,6 +300,16 @@ def _set(cfg: dict, dotted: str, value) -> None:
     ("compare", "graph", {"type": "ring", "n": 4}, "game"),
     ("check", "graph", {"type": "ring", "n": 4}, "game"),
     ("check", "sigma_f", "x", "config.sigma_f"),
+    ("run", "graph", DISCONNECTED, "graph"),
+    ("compare", "graph", DISCONNECTED, "graph"),
+    ("check", "graph", DISCONNECTED, "graph"),
+    ("compare", "baseline.sweep", [], "baseline.sweep"),
+    ("run", "game", {**QUAD["game"], "B": [[0.0] * 3, [0.0] * 2, [0.0] * 3]}, "game.B"),
+    ("run", "game", {**QUAD["game"], "box": {"lower": [0, 0], "upper": 10}}, "game.box.lower"),
+    ("run", "admm.x0", "ones", "admm.x0"),
+    ("compare", "compare.tol", 0, "compare.tol"),
+    ("run", "game", {**WANET_CAPS, "routes": [[0], []]}, "game"),
+    ("run", "graph.extra_edges", -1, "graph"),
 ], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n", "seed-inf", "seed-list",
         "output_dir-null", "output_dir-number", "compare-list", "compare.tol-string",
         "max_iter-bool", "record_every-fraction", "max_iter-string", "c-negative", "beta-empty",
@@ -294,7 +318,9 @@ def _set(cfg: dict, dotted: str, value) -> None:
         "routes-null", "beta-length-run", "beta-length-check", "beta-length-compare",
         "x0-length-run", "x0-length-compare", "x0-box-run", "x0-box-compare", "x0-box-check",
         "size-mismatch-run", "size-mismatch-compare", "size-mismatch-check",
-        "sigma_f-string"])
+        "sigma_f-string", "disconnected-run", "disconnected-compare", "disconnected-check",
+        "sweep-empty", "B-ragged", "box-lower-length", "x0-preset", "compare.tol-zero",
+        "route-empty", "extra_edges-negative"])
 def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, command, key, value,
                                            path):
     monkeypatch.chdir(tmp_path)
@@ -389,6 +415,15 @@ def test_check_flag_overrides_config(tmp_path, capsys):
     assert float(out["margin"]) < 0
 
 
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_check_nonpositive_sigma_fails_the_condition(tmp_path, capsys, sigma):
+    rc = cli.main(["check", write_cfg(tmp_path, QUAD), "--sigma-f", sigma])
+    out = kv(capsys.readouterr().out)
+    assert rc == 0
+    assert out["condition_satisfied"] == "false"
+    assert float(out["margin"]) == float(sigma) - float(out["threshold"])
+
+
 def test_check_estimates_sigma(tmp_path, capsys):
     rc = cli.main(["check", write_cfg(tmp_path, QUAD)])
     out = kv(capsys.readouterr().out)
@@ -414,15 +449,25 @@ def test_check_bad_flag_is_rejected_before_the_report(tmp_path, capsys, flag, me
 @pytest.mark.parametrize("block, value, message", [
     ("game", {"type": "wanet", "seed": -1}, "game.seed: must be nonnegative"),
     ("admm", {"c": -1.0}, "admm.c: must be positive"),
+    ("graph", DISCONNECTED,
+     "graph: connectivity assumption violated (communication graph is not connected)"),
+    (None, ONE_PLAYER,
+     "graph: needs at least 2 nodes (a single-player game is plain minimization)"),
+    ("graph", {"type": "ring", "n": 4}, "game: player count disagrees with graph size"),
 ])
-def test_check_bad_block_is_rejected_before_the_report(tmp_path, capsys, block, value, message):
+def test_check_bad_block_is_rejected_before_the_report(tmp_path, capsys, monkeypatch, block,
+                                                       value, message):
+    """Every command rejects a bad block (None: the blocks in value) before any output."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
     cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
-    cfg[block] = value
-    rc = cli.main(["check", write_cfg(tmp_path, cfg)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    cfg.update(value if block is None else {block: value})
+    for command in ("check", "run", "compare"):
+        rc = cli.main([command, write_cfg(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_check_sigma_not_estimable(tmp_path, capsys):
@@ -444,12 +489,13 @@ def test_check_sigma_not_estimable(tmp_path, capsys):
 
 def test_check_disconnected_graph(tmp_path, capsys):
     cfg = copy.deepcopy(QUAD)
-    cfg["graph"] = {"type": "explicit", "n": 4, "edges": [[0, 1], [2, 3]]}
+    cfg["graph"] = {"type": "explicit", "n": 3, "edges": [[0, 1]]}
     rc = cli.main(["check", write_cfg(tmp_path, cfg)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert kv(captured.out)["connected"] == "false"
-    assert "connectivity assumption violated" in captured.err
+    assert captured.out == ""
+    assert captured.err == ("error: graph: connectivity assumption violated "
+                            "(communication graph is not connected)\n")
 
 
 # ------------------------------------------------------------------ compare

@@ -316,7 +316,7 @@ def test_default_instance_shape():
 def test_sigma_estimate_scaled_identity():
     g = QuadraticGame([2.0, 2.0], np.zeros((2, 2)), [0.0, 0.0],
                       ActionBox.cube(2, -5, 5))
-    est = estimate_sigma_f(g, g.action_box, samples=50, seed=0)
+    est = estimate_sigma_f(g, samples=50, seed=0)
     assert abs(est - 0.5) <= 1e-15
 
 
@@ -325,7 +325,7 @@ def test_sigma_estimate_spd_bound():
     g = QuadraticGame([3.0, 3.0, 3.0], B, [0.0, 0.0, 0.0], ActionBox.cube(3, -5, 5))
     M = np.diag(g.a) + B
     w = np.linalg.eigvalsh(M)
-    est = estimate_sigma_f(g, g.action_box, samples=300, seed=1)
+    est = estimate_sigma_f(g, samples=300, seed=1)
     assert est >= w[0] / w[-1] ** 2 - 1e-12
     # sampling can only overestimate the true constant 1/lambda_max
     assert est >= 1.0 / w[-1] - 1e-12
@@ -335,7 +335,7 @@ def test_sigma_estimate_degenerate_error():
     g = QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0],
                       ActionBox.cube(2, 1.0, 1.0))
     with pytest.raises(SigmaEstimationError):
-        estimate_sigma_f(g, g.action_box, samples=10, seed=0)
+        estimate_sigma_f(g, samples=10, seed=0)
 
 
 def test_sigma_estimate_skips_uninformative_pairs():
@@ -349,12 +349,11 @@ def test_sigma_estimate_skips_uninformative_pairs():
         def own_gradients(self, X):
             return np.floor(4.0 * np.diagonal(X, axis1=-2, axis2=-1))
 
-    est = estimate_sigma_f(QuantizedGame(), QuantizedGame.action_box,
-                           samples=200, seed=3)
+    est = estimate_sigma_f(QuantizedGame(), samples=200, seed=3)
     assert est >= 0.0 and np.isfinite(est)
 
 
 def test_sigma_estimate_needs_two_samples():
     g = QuadraticGame([1.0], np.zeros((1, 1)), [0.0], ActionBox.cube(1, 0, 1))
     with pytest.raises(ValueError):
-        estimate_sigma_f(g, g.action_box, samples=1, seed=0)
+        estimate_sigma_f(g, samples=1, seed=0)
