@@ -7,59 +7,13 @@ projected pseudo-gradient baseline, a convergence-condition checker, and a
 congestion-game testbed round out the package.
 """
 
-from .admm import (
-    AdmmConfig,
-    RunResult,
-    SolverState,
-    admm_step,
-    check_condition,
-    condition_threshold,
-    init_state,
-    run,
-)
-from .baseline import (
-    BaselineConfig,
-    ComparisonReport,
-    baseline_step,
-    compare,
-    neighbor_average,
-    run_baseline,
-)
-from .games import (
-    ActionBox,
-    GameModel,
-    QuadraticGame,
-    SigmaEstimationError,
-    WanetGame,
-    default_wanet_instance,
-    estimate_sigma_f,
-    quadratic_ne,
-    random_quadratic_game,
-)
-from .graph import (
-    CommGraph,
-    complete,
-    path,
-    random_connected_graph,
-    ring,
-)
-from .metrics import (
-    IterationRecord,
-    consensus_error,
-    ne_residual,
-)
+from . import admm, baseline, games, graph, metrics
+from .admm import *
+from .baseline import *
+from .games import *
+from .graph import *
+from .metrics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmmConfig", "RunResult", "SolverState", "admm_step",
-    "check_condition", "condition_threshold", "init_state", "run",
-    "BaselineConfig", "ComparisonReport", "baseline_step", "compare",
-    "neighbor_average", "run_baseline",
-    "ActionBox", "GameModel", "QuadraticGame", "SigmaEstimationError",
-    "WanetGame", "default_wanet_instance", "estimate_sigma_f",
-    "quadratic_ne", "random_quadratic_game",
-    "CommGraph", "complete", "path",
-    "random_connected_graph", "ring",
-    "IterationRecord", "consensus_error", "ne_residual",
-]
+__all__ = [*admm.__all__, *baseline.__all__, *games.__all__, *graph.__all__, *metrics.__all__]

@@ -26,7 +26,6 @@ __all__ = [
     "SolverState",
     "RunResult",
     "init_state",
-    "admm_step",
     "run",
     "check_condition",
     "condition_threshold",
@@ -64,11 +63,26 @@ class AdmmConfig(StopRule):
 
 
 def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
-    """`admm_step` on a stack of states, its per-run constants computed once and
-    shared by every member (so the step has no use for `live`)."""
+    """The step: one synchronous iteration of the compact per-player recursion
+    on a stack of states, its per-run constants computed once and shared by
+    every member (so the step has no use for `live`).
+
+    With all quantities on the right-hand side read from iteration k:
+
+    1. w^i <- w^i + c * sum_{j in N_i} (x^i - x^j)
+    2. off-diagonal coordinates of the estimate:
+       x^i_{-i} <- (1/|N_i|) sum_j x^j_{-i} - w^i_{-i} / (2 c |N_i|),
+       consuming the *pre-update* w^i
+    3. own coordinate, with alpha_i = beta_i + 2 c |N_i|:
+       x^i_i <- Proj_i[ ((beta_i + c |N_i|) x^i_i - w^i_i,new
+                          - F_i(x^i) + c sum_j x^j_i) / alpha_i ],
+       consuming the *post-update* w^i and `game.own_gradients` at the old rows.
+
+    The staggered w indices are what make this recursion match the explicit
+    multiplier form step for step. The input gate has passed game and graph,
+    so every player has a neighbor.
+    """
     deg = graph.degrees().astype(float)
-    if np.any(deg == 0):
-        raise ValueError("every player needs at least one neighbor")
     c, beta = cfg.c, cfg.beta_vector(graph.n)
     two_c_deg = 2.0 * c * deg
     alpha, keep = beta + two_c_deg, beta + c * deg
@@ -92,30 +106,8 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     return step
 
 
-def admm_step(state: SolverState, game: GameModel, graph: CommGraph,
-              cfg: AdmmConfig) -> SolverState:
-    """One synchronous iteration of the compact per-player recursion.
-
-    With all quantities on the right-hand side read from iteration k:
-
-    1. w^i <- w^i + c * sum_{j in N_i} (x^i - x^j)
-    2. off-diagonal coordinates of the estimate:
-       x^i_{-i} <- (1/|N_i|) sum_j x^j_{-i} - w^i_{-i} / (2 c |N_i|),
-       consuming the *pre-update* w^i
-    3. own coordinate, with alpha_i = beta_i + 2 c |N_i|:
-       x^i_i <- Proj_i[ ((beta_i + c |N_i|) x^i_i - w^i_i,new
-                          - F_i(x^i) + c sum_j x^j_i) / alpha_i ],
-       consuming the *post-update* w^i and `game.own_gradients` at the old rows.
-
-    The staggered w indices are what make this recursion match the explicit
-    multiplier form step for step.
-    """
-    X, W = _admm_plan(game, graph, cfg)(state.X[None], state.W[None], [0])
-    return SolverState(X=X[0], W=W[0], k=state.k + 1)
-
-
 def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None) -> RunResult:
-    """Iterate `admm_step` from x0 until both tolerances hold or the budget ends."""
+    """Iterate the step from x0 until both tolerances hold or the budget ends."""
     state, step = init_state(game, graph, x0), _admm_plan(game, graph, cfg)
     return _drive(state.X[None], state.W[None], step, game, graph, cfg)[0]
 
@@ -131,10 +123,11 @@ def check_condition(sigma_f: float, cfg: AdmmConfig, graph: CommGraph) -> tuple[
     """Sufficient-condition check: sigma_F must strictly exceed the threshold.
 
     Returns (satisfied, margin) with margin = sigma_f - threshold. Equality
-    counts as violated. Advisory only: the solver runs regardless, since the
-    condition is sufficient rather than necessary.
+    counts as violated, and so does any sigma_f <= 0, since the threshold is
+    positive. Advisory only: the solver runs regardless, since the condition
+    is sufficient rather than necessary.
     """
-    if not sigma_f > 0:
-        raise ValueError("sigma_f must be positive")
+    if not np.isfinite(sigma_f):
+        raise ValueError("sigma_f must be finite")
     margin = sigma_f - condition_threshold(cfg, graph)
     return margin > 0, margin

@@ -16,13 +16,11 @@ import numpy as np
 from .admm import AdmmConfig, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
-from .loop import RunResult, SolverState, StopRule, _check, _drive, init_state
+from .loop import RunResult, StopRule, _check, _drive, init_state
 
 __all__ = [
     "BaselineConfig",
     "ComparisonReport",
-    "neighbor_average",
-    "baseline_step",
     "run_baseline",
     "compare",
 ]
@@ -30,49 +28,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaselineConfig(StopRule):
-    """Step size gamma, or the step sizes `compare` sweeps (None: gamma alone)."""
+    """The step sizes a baseline run sweeps, one run per step size."""
 
-    gamma: float = 0.05
     sweep: tuple = (0.2, 0.1, 0.05, 0.02, 0.01)
 
     def __post_init__(self):
         super().__post_init__()
-        _check(self.gamma > 0, "gamma", "must be positive")
-        if self.sweep is not None:
-            sweep = tuple(float(g) for g in self.sweep)
-            _check(len(sweep) > 0, "sweep", "must list at least one step size")
-            _check(all(g > 0 for g in sweep), "sweep", "step sizes must be positive")
-            object.__setattr__(self, "sweep", sweep)
-
-
-def _mixing(graph: CommGraph):
-    """`neighbor_average` on this graph, its (deg + 1) column computed once."""
-    deg_plus_1 = graph.degrees().astype(float)[:, None] + 1.0
-
-    def average(X: np.ndarray) -> np.ndarray:
-        S = graph.neighbor_sums(X)
-        return np.divide(np.add(S, X, out=S), deg_plus_1, out=S)
-
-    return average
-
-
-def neighbor_average(X: np.ndarray, graph: CommGraph) -> np.ndarray:
-    """Row i of the result = mean of {x^j : j in N_i union {i}}.
-
-    The mixing matrix (I + A) / (deg + 1) is row-stochastic always and doubly
-    stochastic on regular graphs, where it therefore preserves the column sums
-    of X.
-    """
-    return _mixing(graph)(X)
+        sweep = tuple(float(g) for g in self.sweep)
+        _check(len(sweep) > 0, "sweep", "must list at least one step size")
+        _check(all(g > 0 for g in sweep), "sweep", "step sizes must be positive")
+        object.__setattr__(self, "sweep", sweep)
 
 
 def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
-    """`baseline_step` on a stack of estimate matrices, member g stepping by
-    gammas[g]; it keeps no duals, so W passes through as None."""
-    average, gamma_col = _mixing(graph), np.asarray(gammas, dtype=float)[:, None]
+    """The step on a stack of estimate matrices, member g stepping by gammas[g]:
+    averaging on the non-own coordinates, projected gradient on the own one.
+    It keeps no duals, so W passes through as None.
+
+    Row i of the average is the mean of {x^j : j in N_i union {i}}. The mixing
+    matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
+    on regular graphs, where it therefore preserves the column sums of X.
+    """
+    deg_plus_1 = graph.degrees().astype(float)[:, None] + 1.0
+    gamma_col = np.asarray(gammas, dtype=float)[:, None]
 
     def step(X: np.ndarray, W: None, live) -> tuple[np.ndarray, None]:
-        X_new = average(X)
+        S = graph.neighbor_sums(X)
+        X_new = np.divide(np.add(S, X, out=S), deg_plus_1, out=S)
         own = X.diagonal(0, -2, -1) - gamma_col[live] * game.own_gradients(X)
         # the projection writes through a view of each diagonal
         game.action_box.project(own, out=np.einsum("...ii->...i", X_new))
@@ -81,24 +63,13 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     return step
 
 
-def baseline_step(state: SolverState, game: GameModel, graph: CommGraph,
-                  cfg: BaselineConfig) -> SolverState:
-    """Averaging on the non-own coordinates, projected gradient on the own one."""
-    X, _ = _baseline_plan(game, graph, (cfg.gamma,))(state.X[None], None, [0])
-    return SolverState(X=X[0], W=state.W, k=state.k + 1)
-
-
-def _sweep(game: GameModel, graph: CommGraph, stop: StopRule, gammas, x0) -> list[RunResult]:
-    """One baseline run per step size in gammas, all from x0, stepped as one stack."""
-    X = init_state(game, graph, x0).X
-    return _drive(X[None].repeat(len(gammas), axis=0), None, _baseline_plan(game, graph, gammas),
-                  game, graph, stop)
-
-
 def run_baseline(game: GameModel, graph: CommGraph, cfg: BaselineConfig,
-                 x0=None) -> RunResult:
-    """Iterate `baseline_step` under the same stopping rule as the ADMM run."""
-    return _sweep(game, graph, cfg, (cfg.gamma,), x0)[0]
+                 x0=None) -> list[RunResult]:
+    """One run per step size in cfg.sweep, all from x0 under the same stopping
+    rule as the ADMM run, stepped as one stack."""
+    X = init_state(game, graph, x0).X
+    return _drive(X[None].repeat(len(cfg.sweep), axis=0), None,
+                  _baseline_plan(game, graph, cfg.sweep), game, graph, cfg)
 
 
 @dataclass
@@ -128,15 +99,13 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     """Run both solvers from the same start to the same tolerance and report.
 
     Both stopping thresholds are set to `tol`. The baseline is swept over
-    baseline_cfg.sweep (falling back to its single gamma) and the best
-    convergent step size represents it, so the comparison is not decided by a
-    badly tuned gamma.
+    baseline_cfg.sweep and the best convergent step size represents it, so
+    the comparison is not decided by a badly tuned gamma.
     """
     a_cfg = replace(admm_cfg, tol_consensus=tol, tol_residual=tol)
     a_cfg.beta_vector(graph.n)  # a bad beta is reported before the sweep runs
-    gammas = [float(g) for g in (baseline_cfg.sweep or (baseline_cfg.gamma,))]
-    runs = _sweep(game, graph, replace(baseline_cfg, tol_consensus=tol, tol_residual=tol),
-                  gammas, x0)
+    b_cfg = replace(baseline_cfg, tol_consensus=tol, tol_residual=tol)
+    gammas, runs = b_cfg.sweep, run_baseline(game, graph, b_cfg, x0)
     sweep_results = [(g, r.reason, r.state.k if r.reason == "converged" else None)
                      for g, r in zip(gammas, runs)]
     done = [(k, b) for b, (_, _, k) in enumerate(sweep_results) if k is not None]

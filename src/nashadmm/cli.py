@@ -50,8 +50,8 @@ DEFAULT_CONFIG = {
     "game": {"type": "wanet", "seed": 7},
     "graph": {"type": "random", "n": 15, "extra_edges": 5, "seed": 7},
     "admm": {**_defaults(AdmmConfig), "x0": "zeros"},
-    # compare sets both baseline tolerances to compare.tol, and a sweep overrides gamma
-    "baseline": _defaults(BaselineConfig, "gamma", "tol_consensus", "tol_residual"),
+    # compare sets both baseline tolerances to compare.tol
+    "baseline": _defaults(BaselineConfig, "tol_consensus", "tol_residual"),
     "compare": {"tol": 1e-4},
 }
 
@@ -212,8 +212,13 @@ def build_admm(block: dict, game, graph: CommGraph):
 
 
 def build_baseline(block: dict) -> BaselineConfig:
-    if "gamma" in block and "sweep" not in block:
-        block = {**block, "sweep": [block["gamma"]]}
+    """The baseline settings; the older single step size `gamma` is checked
+    even when a `sweep` overrides it, and without one is a sweep of one."""
+    if "gamma" in block:
+        gamma = _read(block["gamma"], "baseline.gamma")
+        if not gamma > 0:
+            raise ConfigError("baseline.gamma", "must be positive")
+        block = {"sweep": [gamma], **block}
     return read_settings(BaselineConfig, block, "baseline")
 
 
@@ -330,7 +335,6 @@ def cmd_check(args) -> int:
     given = args.sigma_f if flag else cfg.get("sigma_f")
     sigma = None if given is None else _read(given, "--sigma-f" if flag else "config.sigma_f")
     deg = graph.degrees()
-    threshold = condition_threshold(admm_cfg, graph)
     _emit(
         n=graph.n,
         edges=len(graph.edges),
@@ -341,15 +345,12 @@ def cmd_check(args) -> int:
         lambda_max_normalized_laplacian=graph.lambda_max_normalized_laplacian(),
         c=admm_cfg.c,
         beta_min=float(np.min(admm_cfg.beta_vector(graph.n))),
-        threshold=threshold,
+        threshold=condition_threshold(admm_cfg, graph),
     )
     source = "given"
     if sigma is None:  # main reports a SigmaEstimationError
         sigma, source = estimate_sigma_f(game, args.samples, seed), "estimated"
-    if sigma > 0:
-        ok, margin = check_condition(sigma, admm_cfg, graph)
-    else:
-        ok, margin = False, sigma - threshold
+    ok, margin = check_condition(sigma, admm_cfg, graph)
     _emit(sigma_f=float(sigma), sigma_f_source=source,
           condition_satisfied=ok, margin=float(margin))
     return 0

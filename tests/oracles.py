@@ -117,7 +117,8 @@ def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
     +-(c/2)(x^i - x^j); the off-diagonal estimate coordinates average the old
     row with the neighborhood mean and subtract the refreshed multiplier
     aggregate; the own coordinate applies the same proximal projection as
-    `admm_step` expressed through sum_j (u^{ij} + v^{ji}).
+    the solver's step (`nashadmm.admm._admm_plan`), expressed through
+    sum_j (u^{ij} + v^{ji}).
     """
     n = graph.n
     X = dstate.X

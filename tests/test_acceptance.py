@@ -17,7 +17,6 @@ from nashadmm import (
     AdmmConfig,
     BaselineConfig,
     WanetGame,
-    admm_step,
     compare,
     complete,
     consensus_error,
@@ -31,6 +30,7 @@ from nashadmm import (
     run,
 )
 from nashadmm import cli
+from nashadmm.admm import _admm_plan
 
 from oracles import (central_diff, charpoly_eigs, dual_w_matrix, grid_best_response,
                      init_dual_state, normalized_laplacian_eigs_exact, unsimplified_step)
@@ -57,30 +57,31 @@ def wanet_forms(wanet_default):
     """Both algorithm forms run side by side for 1000 iterations."""
     game, graph = wanet_default
     cfg = AdmmConfig()
-    s = init_state(game, graph)
+    s, step = init_state(game, graph), _admm_plan(game, graph, cfg)
+    X, W = s.X[None], s.W[None]
     ds = init_dual_state(game, graph)
     dev200 = 0.0
     identity_max = 0.0
     for k in range(1, 1001):
-        s = admm_step(s, game, graph, cfg)
+        X, W = step(X, W, [0])
         ds = unsimplified_step(ds, game, graph, cfg)
         if k <= 200:
-            dev200 = max(dev200, float(np.max(np.abs(s.X - ds.X))))
+            dev200 = max(dev200, float(np.max(np.abs(X[0] - ds.X))))
         for e, u in ds.u.items():
             identity_max = max(identity_max, float(np.max(np.abs(u + ds.v[e]))))
     return dev200, identity_max
 
 
 def _w_colsum_worst(game, graph, iters, stop_tol=None):
-    cfg = AdmmConfig()
-    s = init_state(game, graph)
-    worst = float(np.max(np.abs(s.W.sum(axis=0))))
+    s, step = init_state(game, graph), _admm_plan(game, graph, AdmmConfig())
+    X, W = s.X[None], s.W[None]
+    worst = float(np.max(np.abs(W[0].sum(axis=0))))
     for _ in range(iters):
-        s = admm_step(s, game, graph, cfg)
-        worst = max(worst, float(np.max(np.abs(s.W.sum(axis=0)))))
+        X, W = step(X, W, [0])
+        worst = max(worst, float(np.max(np.abs(W[0].sum(axis=0)))))
         if stop_tol is not None:
-            if (consensus_error(s.X, graph) <= stop_tol[0]
-                    and ne_residual(np.diagonal(s.X).copy(), game) <= stop_tol[1]):
+            if (consensus_error(X[0], graph) <= stop_tol[0]
+                    and ne_residual(np.diagonal(X[0]).copy(), game) <= stop_tol[1]):
                 break
     return worst
 
@@ -119,13 +120,14 @@ def test_criterion_02_form_equivalence(wanet_forms):
             (random_quadratic_game(5, seed=17), ring(5))]
     cfg = AdmmConfig()
     for game, graph in legs:
-        s = init_state(game, graph)
+        s, step = init_state(game, graph), _admm_plan(game, graph, cfg)
+        X, W = s.X[None], s.W[None]
         ds = init_dual_state(game, graph)
         for _ in range(200):
-            s = admm_step(s, game, graph, cfg)
+            X, W = step(X, W, [0])
             ds = unsimplified_step(ds, game, graph, cfg)
-            assert np.max(np.abs(s.X - ds.X)) <= 1e-9
-            assert np.max(np.abs(s.W - dual_w_matrix(ds, graph))) <= 1e-9
+            assert np.max(np.abs(X[0] - ds.X)) <= 1e-9
+            assert np.max(np.abs(W[0] - dual_w_matrix(ds, graph))) <= 1e-9
     dev200, _ = wanet_forms
     assert dev200 <= 1e-9, f"congestion-instance form gap {dev200}"
 

@@ -9,7 +9,6 @@ from nashadmm import (
     CommGraph,
     GameModel,
     QuadraticGame,
-    admm_step,
     check_condition,
     complete,
     condition_threshold,
@@ -22,6 +21,7 @@ from nashadmm import (
     ring,
     run,
 )
+from nashadmm.admm import _admm_plan
 
 from oracles import dual_w_matrix, init_dual_state, unsimplified_step
 
@@ -106,14 +106,15 @@ def test_init_state_rejects_size_mismatch():
         init_state(g, ring(3))
 
 
-# -------------------------------------------------------------- admm_step
+# ------------------------------------------------------------ the step
+# The step advances a stack of states; each test steps a stack of one.
 
 def test_step_fixed_point_at_consensus_ne():
     g = QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0], ActionBox.cube(2, -1, 1))
     gr = path(2)
     s = init_state(g, gr)
-    s1 = admm_step(s, g, gr, AdmmConfig())
-    assert np.all(s1.X == 0.0) and np.all(s1.W == 0.0) and s1.k == 1
+    X, W = _admm_plan(g, gr, AdmmConfig())(s.X[None], s.W[None], [0])
+    assert np.all(X == 0.0) and np.all(W == 0.0)
 
 
 def test_step_consensus_rows_leave_w_unchanged():
@@ -121,41 +122,43 @@ def test_step_consensus_rows_leave_w_unchanged():
     gr = ring(4)
     x = np.array([0.3, -0.2, 0.9, 0.1])
     s = init_state(g, gr, x)
-    s.W = np.arange(16.0).reshape(4, 4) / 10.0
-    s1 = admm_step(s, g, gr, AdmmConfig(c=1.25))
-    assert np.array_equal(s1.W, s.W)
+    W0 = np.arange(16.0).reshape(1, 4, 4) / 10.0
+    _, W = _admm_plan(g, gr, AdmmConfig(c=1.25))(s.X[None], W0, [0])
+    assert np.array_equal(W, W0)
 
 
 def test_step_hand_computed_two_player():
     g, gr = make_pair()
-    s1 = admm_step(init_state(g, gr), g, gr, AdmmConfig(c=1.0, beta=1.0))
+    s = init_state(g, gr)
+    (X,), W = _admm_plan(g, gr, AdmmConfig(c=1.0, beta=1.0))(s.X[None], s.W[None], [0])
     # alpha = 3, proj[(2*0 - 0 - (-2) + 0)/3] = 2/3 on both diagonals
-    assert s1.X[0, 0] == 2.0 / 3.0 and s1.X[1, 1] == 2.0 / 3.0
-    assert np.all(s1.W == 0.0)
+    assert X[0, 0] == 2.0 / 3.0 and X[1, 1] == 2.0 / 3.0
+    assert np.all(W == 0.0)
     # off-diagonals pull to the neighbor's old estimate
-    assert s1.X[0, 1] == 0.0 and s1.X[1, 0] == 0.0
+    assert X[0, 1] == 0.0 and X[1, 0] == 0.0
 
 
 def test_step_keeps_actions_in_box():
     g = QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [-50.0, 50.0], ActionBox.cube(2, -1, 1))
     gr = path(2)
-    s = init_state(g, gr)
+    s, step = init_state(g, gr), _admm_plan(g, gr, AdmmConfig())
+    X, W = s.X[None], s.W[None]
     for _ in range(10):
-        s = admm_step(s, g, gr, AdmmConfig())
-        d = np.diagonal(s.X)
+        X, W = step(X, W, [0])
+        d = np.diagonal(X[0])
         assert np.all(d >= -1.0) and np.all(d <= 1.0)
     # gradients with opposite signs pin the two actions at opposite bounds
-    assert s.X[0, 0] == 1.0 and s.X[1, 1] == -1.0
+    assert X[0, 0, 0] == 1.0 and X[0, 1, 1] == -1.0
 
 
 def test_w_column_sums_stay_near_zero():
     g = random_quadratic_game(6, seed=4)
     gr = random_connected_graph(6, 3, 4)
-    cfg = AdmmConfig()
-    s = init_state(g, gr, np.linspace(-1, 1, 6))
+    s, step = init_state(g, gr, np.linspace(-1, 1, 6)), _admm_plan(g, gr, AdmmConfig())
+    X, W = s.X[None], s.W[None]
     for _ in range(300):
-        s = admm_step(s, g, gr, cfg)
-        assert np.max(np.abs(s.W.sum(axis=0))) <= 1e-9
+        X, W = step(X, W, [0])
+        assert np.max(np.abs(W[0].sum(axis=0))) <= 1e-9
 
 
 # ------------------------------------------------------- unsimplified form
@@ -184,13 +187,14 @@ def test_forms_agree_and_w_reconstructs():
     g = random_quadratic_game(5, seed=6)
     gr = ring(5)
     cfg = AdmmConfig(c=1.4, beta=(0.5, 1.0, 2.0, 1.5, 0.8))
-    s = init_state(g, gr, np.linspace(-1, 1, 5))
+    s, step = init_state(g, gr, np.linspace(-1, 1, 5)), _admm_plan(g, gr, cfg)
+    X, W = s.X[None], s.W[None]
     ds = init_dual_state(g, gr, np.linspace(-1, 1, 5))
     for k in range(200):
-        s = admm_step(s, g, gr, cfg)
+        X, W = step(X, W, [0])
         ds = unsimplified_step(ds, g, gr, cfg)
-        assert np.max(np.abs(s.X - ds.X)) <= 1e-9
-        assert np.max(np.abs(s.W - dual_w_matrix(ds, gr))) <= 1e-9
+        assert np.max(np.abs(X[0] - ds.X)) <= 1e-9
+        assert np.max(np.abs(W[0] - dual_w_matrix(ds, gr))) <= 1e-9
 
 
 # -------------------------------------------------------------------- run
@@ -292,8 +296,14 @@ def test_check_condition_strict_at_equality():
 
 
 def test_check_condition_requires_positive_sigma():
-    with pytest.raises(ValueError):
-        check_condition(0.0, AdmmConfig(), complete(3))
+    # any finite sigma_F gets a verdict, and one <= 0 never satisfies the condition
+    cfg = AdmmConfig(c=1.0, beta=1.0)
+    th = condition_threshold(cfg, complete(3))
+    for sigma in (0.0, -1.0):
+        assert check_condition(sigma, cfg, complete(3)) == (False, sigma - th)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_condition(sigma, cfg, complete(3))
 
 
 def test_check_condition_rejects_disconnected():

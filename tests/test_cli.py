@@ -310,6 +310,7 @@ def _set(cfg: dict, dotted: str, value) -> None:
     ("compare", "compare.tol", 0, "compare.tol"),
     ("run", "game", {**WANET_CAPS, "routes": [[0], []]}, "game"),
     ("run", "graph.extra_edges", -1, "graph"),
+    ("compare", "baseline", {"gamma": -1, "sweep": [0.1]}, "baseline.gamma"),
 ], ids=["admm.max_iter", "admm.x0", "game.routes", "graph.n", "seed-inf", "seed-list",
         "output_dir-null", "output_dir-number", "compare-list", "compare.tol-string",
         "max_iter-bool", "record_every-fraction", "max_iter-string", "c-negative", "beta-empty",
@@ -320,7 +321,7 @@ def _set(cfg: dict, dotted: str, value) -> None:
         "size-mismatch-run", "size-mismatch-compare", "size-mismatch-check",
         "sigma_f-string", "disconnected-run", "disconnected-compare", "disconnected-check",
         "sweep-empty", "B-ragged", "box-lower-length", "x0-preset", "compare.tol-zero",
-        "route-empty", "extra_edges-negative"])
+        "route-empty", "extra_edges-negative", "gamma-negative-with-sweep"])
 def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, command, key, value,
                                            path):
     monkeypatch.chdir(tmp_path)
@@ -341,6 +342,16 @@ def test_old_baseline_keys_still_load(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     # a gamma without a sweep is a sweep over that one step size
+    assert [l for l in out.splitlines() if l.startswith("sweep ")] == [
+        "sweep gamma=0.1 reason=converged iterations=" + kv(out)["baseline_iterations"]]
+
+
+def test_a_sweep_overrides_gamma(tmp_path, capsys):
+    cfg = copy.deepcopy(QUAD)
+    cfg["baseline"] = {"gamma": 0.05, "sweep": [0.1], "max_iter": 3000}
+    rc = cli.main(["compare", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
     assert [l for l in out.splitlines() if l.startswith("sweep ")] == [
         "sweep gamma=0.1 reason=converged iterations=" + kv(out)["baseline_iterations"]]
 

@@ -29,3 +29,10 @@ def test_readme_shell_lines_name_what_exists():
     for words in lines:
         if words[0] == "python3" and not words[1].startswith("-"):
             assert (ROOT / words[1]).is_file(), f"README runs missing file {words[1]}"
+
+
+def test_readme_layout_names_every_module():
+    layout = re.search(r"## Layout\n\n```\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    listed = re.findall(r"^  (\w+)\.py ", layout.group(1), re.M)
+    modules = {p.stem for p in (ROOT / "src" / "nashadmm").glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(listed) == sorted(modules)
