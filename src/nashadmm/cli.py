@@ -23,14 +23,7 @@ import numpy as np
 
 from .admm import AdmmConfig, check_condition, condition_threshold, run
 from .baseline import BaselineConfig, compare
-from .games import (
-    ActionBox,
-    QuadraticGame,
-    SigmaEstimationError,
-    WanetGame,
-    default_wanet_instance,
-    estimate_sigma_f,
-)
+from .games import ActionBox, QuadraticGame, WanetGame, default_wanet_instance, quadratic_sigma_f
 from .graph import CommGraph, complete, path, random_connected_graph, ring
 from .loop import SettingError, check_problem
 
@@ -268,18 +261,18 @@ def _emit(**pairs):
 
 
 def _setup(args):
-    """The config, its seed, and the graph, game, solver settings and start
-    every command works on, all through the input gate (`check` may omit admm)."""
+    """The config and the graph, game, solver settings and start every command
+    works on, all through the input gate (`check` may omit admm)."""
     cfg = load_config(args.config)
     seed = _seed(_require(cfg, "seed", "config"), "config.seed")
     graph = build_graph(_block(cfg, "graph"), seed)
     game = build_game(_block(cfg, "game"), seed)
     admm_cfg, x0 = build_admm(_block(cfg, "admm", optional=args.command == "check"), game, graph)
-    return cfg, seed, graph, game, admm_cfg, x0
+    return cfg, graph, game, admm_cfg, x0
 
 
 def cmd_run(args) -> int:
-    cfg, _, graph, game, admm_cfg, x0 = _setup(args)
+    cfg, graph, game, admm_cfg, x0 = _setup(args)
     out = _output_dir(cfg, args.output_dir)
     result = run(game, graph, admm_cfg, x0=x0)
 
@@ -304,7 +297,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, _, graph, game, admm_cfg, x0 = _setup(args)
+    cfg, graph, game, admm_cfg, x0 = _setup(args)
     baseline_cfg = build_baseline(_block(cfg, "baseline"))
     tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
                 "compare.tol")
@@ -327,10 +320,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Print the graph, the spectral threshold, then sigma_F and the condition verdict."""
-    cfg, seed, graph, game, admm_cfg, _ = _setup(args)
-    if args.samples < 2:
-        raise ConfigError("--samples", "must be at least 2")
+    """Print the graph and the spectral threshold, then sigma_F (given, else exact
+    for a quadratic game) and the condition verdict, or sigma_f_source=none."""
+    cfg, graph, game, admm_cfg, _ = _setup(args)
     flag = args.sigma_f is not None
     given = args.sigma_f if flag else cfg.get("sigma_f")
     sigma = None if given is None else _read(given, "--sigma-f" if flag else "config.sigma_f")
@@ -342,14 +334,16 @@ def cmd_check(args) -> int:
         degree_min=int(deg.min()),
         degree_max=int(deg.max()),
         lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
-        lambda_max_normalized_laplacian=graph.lambda_max_normalized_laplacian(),
         c=admm_cfg.c,
         beta_min=float(np.min(admm_cfg.beta_vector(graph.n))),
         threshold=condition_threshold(admm_cfg, graph),
     )
     source = "given"
-    if sigma is None:  # main reports a SigmaEstimationError
-        sigma, source = estimate_sigma_f(game, args.samples, seed), "estimated"
+    if sigma is None and isinstance(game, QuadraticGame):
+        sigma, source = quadratic_sigma_f(game), "exact"
+    if sigma is None:
+        _emit(sigma_f_source="none")
+        return 0
     ok, margin = check_condition(sigma, admm_cfg, graph)
     _emit(sigma_f=float(sigma), sigma_f_source=source,
           condition_satisfied=ok, margin=float(margin))
@@ -388,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="graph and convergence-condition report for a config")
     sp.add_argument("config")
     sp.add_argument("--sigma-f", type=float, default=None,
-                    help="cocoercivity constant to use instead of estimating it")
-    sp.add_argument("--samples", type=int, default=200,
-                    help="profile pairs for the sigma_F estimate")
+                    help="sigma_F to judge, over config sigma_f and any exact value")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("print-default-config", help="emit the default JSON config")
@@ -402,7 +394,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, SigmaEstimationError) as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

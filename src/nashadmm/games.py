@@ -1,7 +1,8 @@
 """Game definitions: action boxes, the player-cost interface, and two games.
 
-Two concrete games are provided. `QuadraticGame` has an affine pseudo-gradient
-and a closed-form equilibrium, which makes it the test oracle of choice.
+Two concrete games are provided. `QuadraticGame` has an affine pseudo-gradient,
+a closed-form equilibrium and an exact cocoercivity constant, which makes it
+the test oracle of choice.
 `WanetGame` is a wireless ad-hoc network congestion game: users push flow over
 capacity-limited links, paying a hyperbolic congestion price per link minus a
 logarithmic utility for their own throughput.
@@ -23,10 +24,9 @@ __all__ = [
     "QuadraticGame",
     "WanetGame",
     "quadratic_ne",
+    "quadratic_sigma_f",
     "random_quadratic_game",
     "default_wanet_instance",
-    "estimate_sigma_f",
-    "SigmaEstimationError",
 ]
 
 
@@ -58,10 +58,6 @@ class ActionBox:
     def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Euclidean projection onto the box (componentwise clip), into `out` if given."""
         return np.clip(x, self.lower, self.upper, out=out)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform draw from the box."""
-        return rng.uniform(self.lower, self.upper)
 
     @staticmethod
     def cube(n: int, lower: float, upper: float) -> "ActionBox":
@@ -160,6 +156,22 @@ def quadratic_ne(game: QuadraticGame) -> np.ndarray:
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(game.d)))):
         raise np.linalg.LinAlgError(f"stationarity residual {resid:.2e} too large")
     return x
+
+
+def quadratic_sigma_f(game: QuadraticGame) -> float | None:
+    """Cocoercivity constant of a quadratic game's pseudo-gradient.
+
+    For F(x) = M x + d with M = diag(a) + B (B may be nonsymmetric), sigma_F
+    is lambda_min of the symmetric part of M^{-1} (Facchinei & Pang, 2003);
+    None when M is singular. The value holds on all of R^n, so it is exact on
+    a box where every interval has lower < upper and a valid lower bound
+    otherwise.
+    """
+    try:
+        Minv = np.linalg.inv(np.diag(game.a) + game.B)
+    except np.linalg.LinAlgError:
+        return None
+    return float(np.linalg.eigvalsh(0.5 * (Minv + Minv.T))[0])
 
 
 def random_quadratic_game(
@@ -317,36 +329,3 @@ def default_wanet_instance(seed: int) -> tuple[WanetGame, CommGraph]:
         action_box=ActionBox.cube(n_users, 0.0, 10.0),
     )
     return game, random_connected_graph(n_users, 5, seed)
-
-
-class SigmaEstimationError(RuntimeError):
-    """All sampled profile pairs left the pseudo-gradient unchanged."""
-
-
-def estimate_sigma_f(game: GameModel, samples: int, seed: int) -> float:
-    """Sampled estimate of the cocoercivity constant of F over the action box.
-
-    Draws `samples` profile pairs (x, y) uniformly from `game.action_box` and
-    returns the minimum of (F(x)-F(y))^T (x-y) / ||F(x)-F(y)||^2 over pairs
-    where F moved. The true constant is the infimum over all pairs, so the
-    returned value is an optimistic estimate, not a certificate. Floored at
-    0.0 when some pair exhibits no positive cocoercivity at all.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 sample pairs")
-    rng, box = np.random.default_rng(seed), game.action_box
-    best = np.inf
-    informative = 0
-    for _ in range(samples):
-        x = box.sample(rng)
-        y = box.sample(rng)
-        fx, fy = game.pseudo_gradient(x), game.pseudo_gradient(y)
-        df = fx - fy
-        denom = float(df @ df)
-        if denom <= 1e-12**2:
-            continue
-        informative += 1
-        best = min(best, float(df @ (x - y)) / denom)
-    if informative == 0:
-        raise SigmaEstimationError("cocoercivity not estimable: F constant on all sampled pairs")
-    return max(0.0, best)

@@ -2,8 +2,8 @@
 
 The solvers in this package exchange estimates over an undirected graph.
 Everything they need from the topology lives here: neighbor lookups,
-connectivity, and the two spectral numbers that drive the penalty
-condition, lambda_min(D + A) and lambda_max of the normalized Laplacian.
+connectivity, and lambda_min(D + A), the spectral number in the penalty
+condition.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class CommGraph:
         return tuple(tuple(sorted(l)) for l in nbrs)
 
     @cached_property
+    def _lambda_min_d_plus_a(self) -> float:
+        return float(np.linalg.eigvalsh(self.d_plus_a())[0])
+
+    @cached_property
     def _slots(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(rows, cols) for each slot s >= 0: nodes of degree > s, their s-th neighbors."""
         index = lambda l: _frozen(np.array(l, dtype=np.intp))
@@ -123,19 +127,6 @@ class CommGraph:
         A = self.adjacency()
         return np.diag(self.degrees().astype(float)) + A
 
-    def laplacian(self) -> np.ndarray:
-        """Combinatorial Laplacian L = D - A."""
-        A = self.adjacency()
-        return np.diag(self.degrees().astype(float)) - A
-
-    def normalized_laplacian(self) -> np.ndarray:
-        """L_N = D^{-1/2} (D - A) D^{-1/2}; requires every degree >= 1."""
-        deg = self.degrees()
-        if np.any(deg == 0):
-            raise ValueError("normalized Laplacian undefined: isolated node present")
-        dinv = 1.0 / np.sqrt(deg.astype(float))
-        return self.laplacian() * np.outer(dinv, dinv)
-
     def is_connected(self) -> bool:
         """True iff every node is reachable from node 0."""
         nbrs = self._nbrs
@@ -157,14 +148,9 @@ class CommGraph:
             raise ValueError("graph must be connected")
 
     def lambda_min_d_plus_a(self) -> float:
-        """Smallest eigenvalue of D + A (nonnegative for connected graphs)."""
+        """Smallest eigenvalue of D + A (nonnegative for connected graphs), computed once."""
         self._require_connected()
-        return float(np.linalg.eigvalsh(self.d_plus_a())[0])
-
-    def lambda_max_normalized_laplacian(self) -> float:
-        """Largest eigenvalue of the normalized Laplacian; at most 2."""
-        self._require_connected()
-        return float(np.linalg.eigvalsh(self.normalized_laplacian())[-1])
+        return self._lambda_min_d_plus_a
 
 
 def ring(n: int) -> CommGraph:

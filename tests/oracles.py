@@ -65,19 +65,6 @@ def charpoly_eigs(M) -> np.ndarray:
     return np.array(sorted(float(r.evalf(25)) for r in roots))
 
 
-def normalized_laplacian_eigs_exact(graph) -> np.ndarray:
-    """Spectrum of L_N via the similar rational matrix D^{-1} L.
-
-    D^{-1/2} L D^{-1/2} and D^{-1} L are similar, so they share eigenvalues,
-    and the latter has rational entries amenable to exact charpoly work.
-    """
-    deg = graph.degrees()
-    L = graph.laplacian()
-    M = [[sp.Rational(int(L[i][j]), int(deg[i])) for j in range(graph.n)]
-         for i in range(graph.n)]
-    return charpoly_eigs(M)
-
-
 def neighbor_sums_loop(X: np.ndarray, graph) -> np.ndarray:
     """Row i = X[N_i].sum(axis=0), one node at a time."""
     return np.stack([X[graph.neighbors(i)].sum(axis=0) for i in range(graph.n)])

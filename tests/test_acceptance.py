@@ -33,7 +33,7 @@ from nashadmm import cli
 from nashadmm.admm import _admm_plan
 
 from oracles import (central_diff, charpoly_eigs, dual_w_matrix, grid_best_response,
-                     init_dual_state, normalized_laplacian_eigs_exact, unsimplified_step)
+                     init_dual_state, unsimplified_step)
 
 
 # ------------------------------------------------------------------ fixtures
@@ -180,17 +180,12 @@ def test_criterion_06_spectral_bounds():
         n = int(rng.integers(2, 31))
         extra = min(int(rng.integers(0, 4)), max(0, n * (n - 3) // 2))
         g = random_connected_graph(n, extra, int(rng.integers(10_000)))
-        lmax, lmin = g.lambda_max_normalized_laplacian(), g.lambda_min_d_plus_a()
-        assert lmax <= 2.0 + 1e-12
-        assert lmin >= -1e-12
+        assert g.lambda_min_d_plus_a() >= -1e-12
         checked += 1
         if n <= 6:
             exact_da = charpoly_eigs(g.d_plus_a())
             da = np.sort(np.linalg.eigvalsh(g.d_plus_a()))
             assert np.max(np.abs(da - exact_da)) <= 1e-8
-            exact_ln = normalized_laplacian_eigs_exact(g)
-            ln = np.sort(np.linalg.eigvalsh(g.normalized_laplacian()))
-            assert np.max(np.abs(ln - exact_ln)) <= 1e-8
             small += 1
     assert checked == 100 and small >= 5
 

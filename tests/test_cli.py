@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nashadmm import IterationRecord, cli
+from nashadmm import IterationRecord, cli, random_quadratic_game
 
 
 QUAD = {
@@ -439,14 +439,14 @@ def test_check_estimates_sigma(tmp_path, capsys):
     rc = cli.main(["check", write_cfg(tmp_path, QUAD)])
     out = kv(capsys.readouterr().out)
     assert rc == 0
-    assert out["sigma_f_source"] == "estimated"
+    assert out["sigma_f_source"] == "exact"
     # pseudo-gradient 2x - 2 has cocoercivity constant 1/2
     assert abs(float(out["sigma_f"]) - 0.5) <= 1e-12
     assert out["condition_satisfied"] == "true"
 
 
 @pytest.mark.parametrize("flag, message", [
-    (["--samples", "0"], "--samples: must be at least 2"),
+    (["--sigma-f", "inf"], "--sigma-f: must be a finite number, got Infinity"),
     (["--sigma-f", "nan"], "--sigma-f: must be a finite number, got NaN"),
 ])
 def test_check_bad_flag_is_rejected_before_the_report(tmp_path, capsys, flag, message):
@@ -481,21 +481,57 @@ def test_check_bad_block_is_rejected_before_the_report(tmp_path, capsys, monkeyp
         assert captured.err == f"error: {message}\n"
 
 
+def test_check_removed_samples_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", write_cfg(tmp_path, QUAD), "--samples", "200"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 200" in capsys.readouterr().err
+
+
 def test_check_sigma_not_estimable(tmp_path, capsys):
     cfg = {
         "seed": 0,
-        "game": {"type": "quadratic", "a": [1.0, 1.0], "B": [[0.0, 0.5], [0.5, 0.0]],
-                 "d": [0.0, 0.0], "box": {"lower": 0, "upper": 0}},
+        "game": {"type": "quadratic", "a": [1.0, 1.0], "B": [[0.0, 1.0], [1.0, 0.0]],
+                 "d": [0.0, 0.0], "box": {"lower": -1, "upper": 1}},
         "graph": {"type": "ring", "n": 2},
     }
     rc = cli.main(["check", write_cfg(tmp_path, cfg)])
     captured = capsys.readouterr()
-    assert rc == 1
-    # every sampled pair is the single point of the box, so F never moves
-    assert captured.err.startswith("error: cocoercivity not estimable")
+    assert rc == 0
+    assert captured.err == ""
+    # M = diag(a) + B is singular, so sigma_F has no closed form and there is no verdict
     keys = [line.partition("=")[0] for line in captured.out.splitlines()]
     assert keys == ["n", "edges", "connected", "degree_min", "degree_max", "lambda_min_d_plus_a",
-                    "lambda_max_normalized_laplacian", "c", "beta_min", "threshold"]
+                    "c", "beta_min", "threshold", "sigma_f_source"]
+    assert captured.out.endswith("sigma_f_source=none\n")
+
+
+def test_check_exact_sigma_overturns_an_optimistic_sample(tmp_path, capsys):
+    """random_quadratic_game(15, 1) on ring(15) at beta = 1.9: a minimum over 200 sampled
+    profile pairs reads 0.268 and clears the 0.2572 threshold; the exact 0.2398 does not."""
+    g = random_quadratic_game(15, seed=1)
+    cfg = {"seed": 0,
+           "game": {"type": "quadratic", "a": g.a.tolist(), "B": g.B.tolist(),
+                    "d": g.d.tolist(), "box": {"lower": -10, "upper": 10}},
+           "graph": {"type": "ring", "n": 15}, "admm": {"beta": 1.9}}
+    rc = cli.main(["check", write_cfg(tmp_path, cfg)])
+    out = kv(capsys.readouterr().out)
+    assert rc == 0
+    assert out["sigma_f_source"] == "exact"
+    assert out["condition_satisfied"] == "false"
+    assert abs(float(out["sigma_f"]) - 0.23978296463652252) <= 1e-12
+    assert abs(float(out["threshold"]) - 0.25724070876273464) <= 1e-12
+
+
+def test_check_computes_lambda_min_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh  # what nashadmm.graph calls
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    # the report line, condition_threshold and check_condition all read lambda_min(D + A)
+    rc = cli.main(["check", write_cfg(tmp_path, QUAD), "--sigma-f", "0.3"])
+    assert rc == 0
+    assert "condition_satisfied=true" in capsys.readouterr().out
+    assert calls == [(3, 3)]
 
 
 def test_check_disconnected_graph(tmp_path, capsys):
@@ -538,7 +574,6 @@ def test_check_graph_report(tmp_path, capsys):
     assert out["n"] == "3" and out["edges"] == "3"
     assert out["degree_min"] == "2" and out["degree_max"] == "2"
     assert abs(float(out["lambda_min_d_plus_a"]) - 1.0) <= 1e-12
-    assert abs(float(out["lambda_max_normalized_laplacian"]) - 1.5) <= 1e-12
 
 
 def test_print_default_config_round_trips(tmp_path, capsys):
@@ -550,9 +585,11 @@ def test_print_default_config_round_trips(tmp_path, capsys):
     p = tmp_path / "default.json"
     p.write_text(out)
     rc = cli.main(["check", str(p)])
-    report = kv(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = kv(out)
     assert rc == 0
-    for key in ("threshold", "sigma_f", "sigma_f_source", "margin"):
-        assert key in report
-    # the sampled sigma_F of the congestion game does not meet the sufficient condition
-    assert report["condition_satisfied"] == "false"
+    assert "threshold" in report
+    # the congestion game has no known sigma_F, so the report ends without a verdict
+    assert out.endswith("sigma_f_source=none\n")
+    for key in ("sigma_f", "condition_satisfied", "margin"):
+        assert key not in report

@@ -1,4 +1,5 @@
-"""The README's library examples, run as shipped, and its shell lines checked against the tree."""
+"""The README's library examples, run as shipped, and its shell lines and
+`check` figures checked against the tree."""
 
 import argparse
 import re
@@ -36,3 +37,17 @@ def test_readme_layout_names_every_module():
     listed = re.findall(r"^  (\w+)\.py ", layout.group(1), re.M)
     modules = {p.stem for p in (ROOT / "src" / "nashadmm").glob("*.py")} - {"__init__", "__main__"}
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_check_paragraph_matches_check_output(tmp_path, capsys):
+    section = (ROOT / "README.md").read_text().split("## Congestion-game experiment\n")[1]
+    paragraph = next(p for p in section.split("\n\n") if p.startswith("`check` "))
+    quoted = re.findall(r"`(\w+=[^`\s]*)`", paragraph)
+    assert quoted
+    assert cli.main(["print-default-config"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(capsys.readouterr().out)
+    assert cli.main(["check", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for pair in quoted:
+        assert pair in lines, f"README quotes {pair!r}, which check does not print"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,16 +10,15 @@ from nashadmm import (
     ActionBox,
     GameModel,
     QuadraticGame,
-    SigmaEstimationError,
     WanetGame,
     default_wanet_instance,
-    estimate_sigma_f,
     quadratic_ne,
+    quadratic_sigma_f,
     random_connected_graph,
     random_quadratic_game,
 )
 
-from oracles import central_diff, second_diff
+from oracles import central_diff, charpoly_eigs, second_diff
 
 
 # ---------------------------------------------------------------- ActionBox
@@ -59,7 +59,7 @@ def test_box_projection_properties(lo, width, seed):
     p = box.project(x)
     assert np.all(box.lower <= p) and np.all(p <= box.upper)
     assert np.array_equal(box.project(p), p)
-    s = box.sample(rng)
+    s = rng.uniform(box.lower, box.upper)
     assert np.all(box.lower <= s) and np.all(s <= box.upper)
 
 
@@ -142,8 +142,8 @@ def test_random_quadratic_game_interior_and_monotone():
     g = random_quadratic_game(6, seed=99)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        x = g.action_box.sample(rng)
-        y = g.action_box.sample(rng)
+        x = rng.uniform(g.action_box.lower, g.action_box.upper)
+        y = rng.uniform(g.action_box.lower, g.action_box.upper)
         if np.array_equal(x, y):
             continue
         gap = float((g.pseudo_gradient(x) - g.pseudo_gradient(y)) @ (x - y))
@@ -311,49 +311,63 @@ def test_default_instance_shape():
         assert graph.edges == random_connected_graph(15, 5, seed).edges
 
 
-# --------------------------------------------------------- sigma_F sampling
+# ------------------------------------------------- sigma_F of a quadratic game
+
+# nonsymmetric coupling; the symmetric part of M^{-1} is still positive definite
+NONSYM = QuadraticGame([3.0, 2.5, 4.0, 3.5],
+                       [[0.0, 1.0, -0.5, 0.25], [-1.0, 0.0, 0.5, 0.0],
+                        [0.75, 0.0, 0.0, -1.0], [0.0, 0.5, 1.0, 0.0]],
+                       [1.0, -2.0, 0.5, 0.0], ActionBox.cube(4, -5, 5))
+
+
+def _sym_inverse_eigs_exact(game) -> np.ndarray:
+    """Spectrum of sym(M^{-1}) from M's exact binary values, in rational arithmetic."""
+    M = np.diag(game.a) + game.B
+    Minv = sp.Matrix(M.shape[0], M.shape[1], lambda i, j: sp.Rational(float(M[i, j]))).inv()
+    return charpoly_eigs(((Minv + Minv.T) / 2).tolist())
+
 
 def test_sigma_estimate_scaled_identity():
     g = QuadraticGame([2.0, 2.0], np.zeros((2, 2)), [0.0, 0.0],
                       ActionBox.cube(2, -5, 5))
-    est = estimate_sigma_f(g, samples=50, seed=0)
-    assert abs(est - 0.5) <= 1e-15
+    assert abs(quadratic_sigma_f(g) - 0.5) <= 1e-15
 
 
 def test_sigma_estimate_spd_bound():
     B = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])
     g = QuadraticGame([3.0, 3.0, 3.0], B, [0.0, 0.0, 0.0], ActionBox.cube(3, -5, 5))
-    M = np.diag(g.a) + B
-    w = np.linalg.eigvalsh(M)
-    est = estimate_sigma_f(g, samples=300, seed=1)
-    assert est >= w[0] / w[-1] ** 2 - 1e-12
-    # sampling can only overestimate the true constant 1/lambda_max
-    assert est >= 1.0 / w[-1] - 1e-12
+    w = np.linalg.eigvalsh(np.diag(g.a) + B)
+    sigma = quadratic_sigma_f(g)
+    # a symmetric M has sym(M^{-1}) = M^{-1}, so sigma_F = 1/lambda_max(M)
+    assert math.isclose(sigma, 1.0 / w[-1], rel_tol=1e-12)
+    assert sigma >= w[0] / w[-1] ** 2
 
 
-def test_sigma_estimate_degenerate_error():
-    g = QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0],
-                      ActionBox.cube(2, 1.0, 1.0))
-    with pytest.raises(SigmaEstimationError):
-        estimate_sigma_f(g, samples=10, seed=0)
+@pytest.mark.parametrize("game", [
+    QuadraticGame([2.0] * 3, np.zeros((3, 3)), [-2.0] * 3, ActionBox.cube(3, -10, 10)),
+    NONSYM,
+    random_quadratic_game(5, seed=2),
+], ids=["quad", "nonsymmetric", "random5"])
+def test_quadratic_sigma_f_matches_exact_oracle(game):
+    exact = _sym_inverse_eigs_exact(game)[0]
+    assert abs(quadratic_sigma_f(game) - exact) <= 1e-10
 
 
-def test_sigma_estimate_skips_uninformative_pairs():
-    class QuantizedGame(GameModel):
-        n_players = 1
-        action_box = ActionBox.cube(1, 0.0, 1.0)
+@pytest.mark.parametrize("game", [NONSYM, random_quadratic_game(15, seed=1)],
+                         ids=["nonsymmetric", "random15"])
+def test_quadratic_sigma_f_bounds_sampled_ratios(game):
+    """sigma_F is the infimum of <F(x) - F(y), x - y> / ||F(x) - F(y)||^2, so no pair is below it."""
+    sigma = quadratic_sigma_f(game)
+    assert sigma > 0
+    rng, box = np.random.default_rng(11), game.action_box
+    x = rng.uniform(box.lower, box.upper, size=(1000, game.n_players))
+    y = rng.uniform(box.lower, box.upper, size=(1000, game.n_players))
+    dF = game.pseudo_gradient(x) - game.pseudo_gradient(y)
+    ratios = np.sum(dF * (x - y), axis=1) / np.sum(dF * dF, axis=1)
+    assert ratios.min() >= sigma * (1 - 1e-12)
 
-        def cost(self, i, x):
-            return 0.0
 
-        def own_gradients(self, X):
-            return np.floor(4.0 * np.diagonal(X, axis1=-2, axis2=-1))
-
-    est = estimate_sigma_f(QuantizedGame(), samples=200, seed=3)
-    assert est >= 0.0 and np.isfinite(est)
-
-
-def test_sigma_estimate_needs_two_samples():
-    g = QuadraticGame([1.0], np.zeros((1, 1)), [0.0], ActionBox.cube(1, 0, 1))
-    with pytest.raises(ValueError):
-        estimate_sigma_f(g, samples=1, seed=0)
+def test_quadratic_sigma_f_singular_is_none():
+    g = QuadraticGame([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0],
+                      ActionBox.cube(2, -1, 1))
+    assert quadratic_sigma_f(g) is None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nashadmm import CommGraph, complete, path, random_connected_graph, ring
 from nashadmm.cli import ConfigError, build_graph
 
-from oracles import charpoly_eigs, neighbor_sums_loop, normalized_laplacian_eigs_exact
+from oracles import charpoly_eigs, neighbor_sums_loop
 
 
 def test_neighbors_ring():
@@ -72,19 +72,6 @@ def test_lambda_min_rejects_disconnected():
     g = CommGraph(4, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(ValueError):
         g.lambda_min_d_plus_a()
-
-
-def test_lambda_max_ln_path3():
-    assert math.isclose(path(3).lambda_max_normalized_laplacian(), 2.0, abs_tol=1e-10)
-
-
-def test_lambda_max_ln_complete3():
-    # L_N of K3 has spectrum {0, 3/2, 3/2}
-    assert math.isclose(complete(3).lambda_max_normalized_laplacian(), 1.5, abs_tol=1e-10)
-
-
-def test_lambda_max_ln_complete2():
-    assert math.isclose(complete(2).lambda_max_normalized_laplacian(), 2.0, abs_tol=1e-10)
 
 
 def test_random_graph_zero_chords_is_ring():
@@ -158,7 +145,6 @@ def test_degree_adjacency_consistency():
     assert np.all(np.diagonal(A) == 0)
     assert np.array_equal(A.sum(axis=1), g.degrees())
     assert np.array_equal(g.d_plus_a(), np.diag(g.degrees().astype(float)) + A)
-    assert np.array_equal(g.laplacian(), np.diag(g.degrees().astype(float)) - A)
 
 
 def test_spectral_bounds_on_corpus():
@@ -169,7 +155,6 @@ def test_spectral_bounds_on_corpus():
         extra = int(rng.integers(0, max_extra + 1))
         g = random_connected_graph(n, extra, trial)
         assert g.lambda_min_d_plus_a() >= -1e-12
-        assert g.lambda_max_normalized_laplacian() <= 2 + 1e-12
 
 
 def test_eigs_match_charpoly_small_graphs():
@@ -180,15 +165,7 @@ def test_eigs_match_charpoly_small_graphs():
         lapack = np.sort(np.linalg.eigvalsh(g.d_plus_a()))
         exact = charpoly_eigs(g.d_plus_a().astype(int))
         assert np.max(np.abs(lapack - exact)) < 1e-8
-        ln_lapack = np.sort(np.linalg.eigvalsh(g.normalized_laplacian()))
-        ln_exact = normalized_laplacian_eigs_exact(g)
-        assert np.max(np.abs(ln_lapack - ln_exact)) < 1e-8
-
-
-def test_normalized_laplacian_rejects_isolated_node():
-    g = CommGraph(3, frozenset({(0, 1)}))
-    with pytest.raises(ValueError):
-        g.normalized_laplacian()
+        assert g.lambda_min_d_plus_a() == lapack[0]
 
 
 def test_graph_from_config_forms():
