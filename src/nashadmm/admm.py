@@ -19,7 +19,8 @@ import numpy as np
 
 from .games import GameModel
 from .graph import CommGraph
-from .loop import RunResult, SettingError, SolverState, StopRule, _check, _drive, init_state
+from .loop import (RunResult, SettingError, SolverState, StopRule, _check, _drive, check_graph,
+                   init_state)
 
 __all__ = [
     "AdmmConfig",
@@ -27,7 +28,6 @@ __all__ = [
     "RunResult",
     "init_state",
     "run",
-    "check_condition",
     "condition_threshold",
 ]
 
@@ -113,21 +113,11 @@ def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None) -> RunResul
 
 
 def condition_threshold(cfg: AdmmConfig, graph: CommGraph) -> float:
-    """1 / (2 (beta_min + c * lambda_min(D + A))), the cocoercivity level to beat."""
-    beta_min = float(np.min(cfg.beta_vector(graph.n)))
-    lam = graph.lambda_min_d_plus_a()
-    return 1.0 / (2.0 * (beta_min + cfg.c * lam))
+    """1 / (2 (beta_min + c * lambda_min(D + A))) on a graph the input gate accepts.
 
-
-def check_condition(sigma_f: float, cfg: AdmmConfig, graph: CommGraph) -> tuple[bool, float]:
-    """Sufficient-condition check: sigma_F must strictly exceed the threshold.
-
-    Returns (satisfied, margin) with margin = sigma_f - threshold. Equality
-    counts as violated, and so does any sigma_f <= 0, since the threshold is
-    positive. Advisory only: the solver runs regardless, since the condition
-    is sufficient rather than necessary.
+    The convergence condition holds when sigma_F is strictly above it, so never
+    for sigma_F <= 0. It is advisory: sufficient, not necessary.
     """
-    if not np.isfinite(sigma_f):
-        raise ValueError("sigma_f must be finite")
-    margin = sigma_f - condition_threshold(cfg, graph)
-    return margin > 0, margin
+    check_graph(graph)
+    beta_min = float(np.min(cfg.beta_vector(graph.n)))
+    return 1.0 / (2.0 * (beta_min + cfg.c * graph.lambda_min_d_plus_a()))

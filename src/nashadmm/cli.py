@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .admm import AdmmConfig, check_condition, condition_threshold, run
+from .admm import AdmmConfig, condition_threshold, run
 from .baseline import BaselineConfig, compare
 from .games import ActionBox, QuadraticGame, WanetGame, default_wanet_instance, quadratic_sigma_f
 from .graph import CommGraph, complete, path, random_connected_graph, ring
@@ -167,14 +167,17 @@ def build_game(block: dict, default_seed: int):
         raise ConfigError("game", str(e))
 
 
-def build_graph(block: dict, default_seed: int) -> CommGraph:
+def build_graph(block: dict, default_seed: int, n_players: int | None = None) -> CommGraph:
     """Accepted forms: {"type": "ring"|"complete"|"path", "n": int},
     {"type": "random", "n": int, "extra_edges": int, "seed": int} (seed
-    defaults to the config's), {"type": "explicit", "n": int, "edges": [[i, j], ...]}."""
+    defaults to the config's), {"type": "explicit", "n": int, "edges": [[i, j], ...]}.
+    An n other than n_players, if given, is rejected before any edge is built."""
     kind = block.get("type")
     if kind not in ("ring", "complete", "path", "random", "explicit"):
         raise ConfigError("graph.type", f"unknown graph type {kind!r}")
     n = _read(_require(block, "n", "graph"), "graph.n", int)
+    if n_players is not None and n != n_players:
+        raise ConfigError("game", "player count disagrees with graph size")
     try:
         if kind == "random":
             return random_connected_graph(
@@ -202,17 +205,6 @@ def build_admm(block: dict, game, graph: CommGraph):
     except SettingError as e:
         raise ConfigError(e.field if e.field in ("game", "graph") else f"admm.{e.field}", e.reason)
     return cfg, x0
-
-
-def build_baseline(block: dict) -> BaselineConfig:
-    """The baseline settings; the older single step size `gamma` is checked
-    even when a `sweep` overrides it, and without one is a sweep of one."""
-    if "gamma" in block:
-        gamma = _read(block["gamma"], "baseline.gamma")
-        if not gamma > 0:
-            raise ConfigError("baseline.gamma", "must be positive")
-        block = {"sweep": [gamma], **block}
-    return read_settings(BaselineConfig, block, "baseline")
 
 
 def _output_dir(cfg: dict, flag_value) -> Path:
@@ -262,11 +254,12 @@ def _emit(**pairs):
 
 def _setup(args):
     """The config and the graph, game, solver settings and start every command
-    works on, all through the input gate (`check` may omit admm)."""
+    works on, all through the input gate (`check` may omit admm); the game
+    comes first, so a graph of the wrong size is never built."""
     cfg = load_config(args.config)
     seed = _seed(_require(cfg, "seed", "config"), "config.seed")
-    graph = build_graph(_block(cfg, "graph"), seed)
     game = build_game(_block(cfg, "game"), seed)
+    graph = build_graph(_block(cfg, "graph"), seed, game.n_players)
     admm_cfg, x0 = build_admm(_block(cfg, "admm", optional=args.command == "check"), game, graph)
     return cfg, graph, game, admm_cfg, x0
 
@@ -298,7 +291,10 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, graph, game, admm_cfg, x0 = _setup(args)
-    baseline_cfg = build_baseline(_block(cfg, "baseline"))
+    # unknown keys are ignored, but a lone gamma ignored would run the default sweep
+    if "gamma" in (block := _block(cfg, "baseline")):
+        raise ConfigError("baseline.gamma", 'is no longer read: list step sizes in "sweep"')
+    baseline_cfg = read_settings(BaselineConfig, block, "baseline")
     tol = _read(_block(cfg, "compare", optional=True).get("tol", DEFAULT_CONFIG["compare"]["tol"]),
                 "compare.tol")
     if not tol > 0:
@@ -326,17 +322,16 @@ def cmd_check(args) -> int:
     flag = args.sigma_f is not None
     given = args.sigma_f if flag else cfg.get("sigma_f")
     sigma = None if given is None else _read(given, "--sigma-f" if flag else "config.sigma_f")
-    deg = graph.degrees()
+    deg, threshold = graph.degrees(), condition_threshold(admm_cfg, graph)
     _emit(
         n=graph.n,
         edges=len(graph.edges),
-        connected=True,  # the input gate rejected any other graph
         degree_min=int(deg.min()),
         degree_max=int(deg.max()),
         lambda_min_d_plus_a=graph.lambda_min_d_plus_a(),
         c=admm_cfg.c,
         beta_min=float(np.min(admm_cfg.beta_vector(graph.n))),
-        threshold=condition_threshold(admm_cfg, graph),
+        threshold=threshold,
     )
     source = "given"
     if sigma is None and isinstance(game, QuadraticGame):
@@ -344,9 +339,9 @@ def cmd_check(args) -> int:
     if sigma is None:
         _emit(sigma_f_source="none")
         return 0
-    ok, margin = check_condition(sigma, admm_cfg, graph)
-    _emit(sigma_f=float(sigma), sigma_f_source=source,
-          condition_satisfied=ok, margin=float(margin))
+    margin = float(sigma) - threshold
+    _emit(sigma_f=float(sigma), sigma_f_source=source, condition_satisfied=margin > 0,
+          margin=margin)
     return 0
 
 

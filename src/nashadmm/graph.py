@@ -114,18 +114,12 @@ class CommGraph:
                 S[..., rows, :] += X.take(cols, axis=-2)
         return S
 
-    def adjacency(self) -> np.ndarray:
-        """Symmetric 0/1 adjacency matrix with zero diagonal."""
-        A = np.zeros((self.n, self.n))
-        for a, b in self.edges:
-            A[a, b] = 1.0
-            A[b, a] = 1.0
-        return A
-
     def d_plus_a(self) -> np.ndarray:
-        """D + A, the degree matrix plus the adjacency matrix."""
-        A = self.adjacency()
-        return np.diag(self.degrees().astype(float)) + A
+        """D + A, the degree matrix plus the symmetric 0/1 adjacency matrix."""
+        M = np.diag(self.degrees().astype(float))
+        i, j = self._ends
+        M[i, j] = M[j, i] = 1.0
+        return M
 
     def is_connected(self) -> bool:
         """True iff every node is reachable from node 0."""
@@ -141,15 +135,9 @@ class CommGraph:
                     stack.append(v)
         return all(seen)
 
-    def _require_connected(self):
-        if self.n < 2:
-            raise ValueError("spectral quantities need n >= 2")
-        if not self.is_connected():
-            raise ValueError("graph must be connected")
-
     def lambda_min_d_plus_a(self) -> float:
-        """Smallest eigenvalue of D + A (nonnegative for connected graphs), computed once."""
-        self._require_connected()
+        """Smallest eigenvalue of D + A, computed once: D + A is positive
+        semidefinite, and singular exactly when some component is bipartite."""
         return self._lambda_min_d_plus_a
 
 
@@ -179,18 +167,11 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> CommGraph:
         raise ValueError("random connected graph needs n >= 2")
     if extra_edges < 0:
         raise ValueError("extra_edges must be nonnegative")
-    base = ring(n)
-    pool = sorted(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in base.edges
-    )
-    if extra_edges > len(pool):
-        raise ValueError(
-            f"extra_edges={extra_edges} exceeds the {len(pool)} available chords for n={n}"
-        )
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(pool), size=extra_edges, replace=False) if extra_edges else []
-    chords = {pool[int(p)] for p in picks}
-    return CommGraph(n, base.edges | chords)
+    i, j = np.triu_indices(n, 1)  # every pair, in lexicographic order
+    chord = (j - i > 1) & (j - i < n - 1)  # less the ring's edges
+    i, j = i[chord], j[chord]
+    if extra_edges > i.size:
+        raise ValueError(f"extra_edges={extra_edges} exceeds the {i.size} available chords"
+                         f" for n={n}")
+    picks = np.random.default_rng(seed).choice(i.size, size=extra_edges, replace=False)
+    return CommGraph(n, ring(n).edges | set(zip(i[picks].tolist(), j[picks].tolist())))

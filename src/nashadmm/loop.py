@@ -74,6 +74,14 @@ class RunResult:
     diverged_at: int | None = None
 
 
+def check_graph(graph: CommGraph) -> None:
+    """The graph rule of the input gate: connected, with at least 2 nodes."""
+    _check(graph.n >= 2, "graph",
+           "needs at least 2 nodes (a single-player game is plain minimization)")
+    _check(graph.is_connected(), "graph",
+           "connectivity assumption violated (communication graph is not connected)")
+
+
 def check_problem(game: GameModel, graph: CommGraph, x0=None) -> np.ndarray:
     """The start x0 (default 0) for game on graph, after the checks both solvers
     rely on: one player per node of a connected graph of at least 2 nodes, and
@@ -81,9 +89,7 @@ def check_problem(game: GameModel, graph: CommGraph, x0=None) -> np.ndarray:
     A failed check raises SettingError with field "game", "graph" or "x0"."""
     n = graph.n
     _check(game.n_players == n, "game", "player count disagrees with graph size")
-    _check(n >= 2, "graph", "needs at least 2 nodes (a single-player game is plain minimization)")
-    _check(graph.is_connected(), "graph",
-           "connectivity assumption violated (communication graph is not connected)")
+    check_graph(graph)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (n, n)):
         raise SettingError("x0", f"must have {n} coordinates" if x0.ndim == 1 else

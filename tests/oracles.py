@@ -65,6 +65,16 @@ def charpoly_eigs(M) -> np.ndarray:
     return np.array(sorted(float(r.evalf(25)) for r in roots))
 
 
+def random_graph_edges(n: int, extra_edges: int, seed: int) -> frozenset:
+    """Edges of random_connected_graph(n, extra_edges, seed), built from a sorted
+    list of every non-ring vertex pair: the ring plus the pairs rng.choice picks."""
+    ring = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    pool = sorted((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in ring)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(pool), size=extra_edges, replace=False) if extra_edges else []
+    return frozenset(ring | {pool[int(p)] for p in picks})
+
+
 def neighbor_sums_loop(X: np.ndarray, graph) -> np.ndarray:
     """Row i = X[N_i].sum(axis=0), one node at a time."""
     return np.stack([X[graph.neighbors(i)].sum(axis=0) for i in range(graph.n)])

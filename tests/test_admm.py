@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from nashadmm import (
     CommGraph,
     GameModel,
     QuadraticGame,
-    check_condition,
     complete,
     condition_threshold,
     consensus_error,
@@ -21,7 +21,9 @@ from nashadmm import (
     ring,
     run,
 )
+from nashadmm import cli
 from nashadmm.admm import _admm_plan
+from nashadmm.loop import SettingError
 
 from oracles import dual_w_matrix, init_dual_state, unsimplified_step
 
@@ -273,9 +275,10 @@ def test_run_deterministic_repeat():
 # ----------------------------------------------- convergence-condition check
 
 def test_check_condition_complete3():
-    ok, margin = check_condition(0.3, AdmmConfig(c=1.0, beta=1.0), complete(3))
-    assert ok
-    assert math.isclose(margin, 0.05, abs_tol=1e-12)
+    # complete(3) at c = beta = 1: lambda_min(D + A) = 1, so 1 / (2 (1 + 1))
+    th = condition_threshold(AdmmConfig(c=1.0, beta=1.0), complete(3))
+    assert math.isclose(th, 0.25, abs_tol=1e-12)
+    assert math.isclose(0.3 - th, 0.05, abs_tol=1e-12)
 
 
 def test_check_condition_path3_threshold_ignores_c():
@@ -284,29 +287,36 @@ def test_check_condition_path3_threshold_ignores_c():
         assert math.isclose(th, 0.5, abs_tol=1e-12)
 
 
-def test_check_condition_strict_at_equality():
-    # threshold for complete(3) at c=1, beta=1 is 1/4 up to eigensolver rounding;
-    # sitting on the boundary must not pass the strict inequality
-    cfg = AdmmConfig(c=1.0, beta=1.0)
-    th = condition_threshold(cfg, complete(3))
-    ok, margin = check_condition(th, cfg, complete(3))
-    assert not ok
-    assert margin == 0.0
-    assert abs(th - 0.25) <= 1e-12
+def test_check_condition_strict_at_equality(tmp_path, capsys):
+    # check judges sigma_F = threshold, read back from its own report, as violated
+    cfg = {"seed": 0, "graph": {"type": "complete", "n": 3},
+           "game": {"type": "quadratic", "a": [2.0] * 3, "B": np.zeros((3, 3)).tolist(),
+                    "d": [0.0] * 3, "box": {"lower": -1, "upper": 1}}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["check", str(config)]) == 0
+    th = dict(l.split("=") for l in capsys.readouterr().out.splitlines())["threshold"]
+    assert abs(float(th) - 0.25) <= 1e-12
+    assert cli.main(["check", str(config), "--sigma-f", th]) == 0
+    out = capsys.readouterr().out
+    assert "condition_satisfied=false\nmargin=0.0\n" in out
 
 
 def test_check_condition_requires_positive_sigma():
-    # any finite sigma_F gets a verdict, and one <= 0 never satisfies the condition
-    cfg = AdmmConfig(c=1.0, beta=1.0)
-    th = condition_threshold(cfg, complete(3))
-    for sigma in (0.0, -1.0):
-        assert check_condition(sigma, cfg, complete(3)) == (False, sigma - th)
-    for sigma in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="must be finite"):
-            check_condition(sigma, cfg, complete(3))
+    # the threshold is positive and finite on every graph the gate accepts, bipartite
+    # ones included, so a sigma_F <= 0 never satisfies the condition
+    for graph in (complete(3), path(3), ring(4), ring(5), random_connected_graph(8, 3, 1)):
+        for c in (0.1, 1.0, 7.0):
+            assert 0.0 < condition_threshold(AdmmConfig(c=c, beta=0.5), graph) < np.inf
 
 
 def test_check_condition_rejects_disconnected():
-    g = CommGraph(4, frozenset({(0, 1), (2, 3)}))
-    with pytest.raises(ValueError):
-        check_condition(1.0, AdmmConfig(), g)
+    # condition_threshold applies the input gate's graph rule, with its reasons
+    for graph, reason in [
+        (CommGraph(4, frozenset({(0, 1), (2, 3)})),
+         "connectivity assumption violated (communication graph is not connected)"),
+        (CommGraph(1), "needs at least 2 nodes (a single-player game is plain minimization)"),
+    ]:
+        with pytest.raises(SettingError) as exc:
+            condition_threshold(AdmmConfig(), graph)
+        assert (exc.value.field, exc.value.reason) == ("graph", reason)

@@ -336,24 +336,49 @@ def test_bad_field_value_is_a_config_error(tmp_path, capsys, monkeypatch, comman
 
 def test_old_baseline_keys_still_load(tmp_path, capsys):
     cfg = copy.deepcopy(QUAD)
-    cfg["baseline"] = {"gamma": 0.1, "max_iter": 3000, "tol_consensus": 1e-300,
-                       "tol_residual": 5.0}
+    cfg["baseline"] = {"max_iter": 3000, "tol_consensus": 1e-300, "tol_residual": 5.0}
     rc = cli.main(["compare", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    # a gamma without a sweep is a sweep over that one step size
-    assert [l for l in out.splitlines() if l.startswith("sweep ")] == [
-        "sweep gamma=0.1 reason=converged iterations=" + kv(out)["baseline_iterations"]]
+    # compare.tol overrides both tolerances, and the default sweep runs
+    assert [l.split()[1] for l in out.splitlines() if l.startswith("sweep ")] == [
+        f"gamma={g!r}" for g in cli.DEFAULT_CONFIG["baseline"]["sweep"]]
 
 
-def test_a_sweep_overrides_gamma(tmp_path, capsys):
+def test_retired_gamma_is_rejected_naming_sweep(tmp_path, capsys):
+    """A lone gamma must not quietly become the default five-step-size sweep."""
     cfg = copy.deepcopy(QUAD)
-    cfg["baseline"] = {"gamma": 0.05, "sweep": [0.1], "max_iter": 3000}
+    cfg["baseline"] = {"gamma": 0.1}
     rc = cli.main(["compare", write_cfg(tmp_path, cfg), "--output-dir", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert [l for l in out.splitlines() if l.startswith("sweep ")] == [
-        "sweep gamma=0.1 reason=converged iterations=" + kv(out)["baseline_iterations"]]
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: baseline.gamma: ") and "sweep" in captured.err
+    assert not (tmp_path / "trace_baseline.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("graph", [
+    {"type": "ring", "n": 16}, {"type": "complete", "n": 16}, {"type": "path", "n": 16},
+    {"type": "random", "n": 16, "extra_edges": 3},
+    {"type": "explicit", "n": 16, "edges": [[i, i + 1] for i in range(15)]},
+], ids=["ring", "complete", "path", "random", "explicit"])
+def test_size_mismatch_builds_no_graph(tmp_path, capsys, monkeypatch, command, graph):
+    """The graph's size is compared with the game's before any edge is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph of the wrong size")
+
+    for name in ("ring", "complete", "path", "random_connected_graph", "CommGraph"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["graph"] = graph
+    rc = cli.main([command, write_cfg(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: game: player count disagrees with graph size\n"
 
 
 CAP = 20
@@ -407,7 +432,6 @@ def test_check_with_given_sigma(tmp_path, capsys):
     rc = cli.main(["check", write_cfg(tmp_path, cfg)])
     out = kv(capsys.readouterr().out)
     assert rc == 0
-    assert out["connected"] == "true"
     assert out["sigma_f_source"] == "given"
     # complete(3) at c=1, beta=1: threshold 1/(2*(1+1)) = 1/4
     assert abs(float(out["threshold"]) - 0.25) <= 1e-12
@@ -501,7 +525,7 @@ def test_check_sigma_not_estimable(tmp_path, capsys):
     assert captured.err == ""
     # M = diag(a) + B is singular, so sigma_F has no closed form and there is no verdict
     keys = [line.partition("=")[0] for line in captured.out.splitlines()]
-    assert keys == ["n", "edges", "connected", "degree_min", "degree_max", "lambda_min_d_plus_a",
+    assert keys == ["n", "edges", "degree_min", "degree_max", "lambda_min_d_plus_a",
                     "c", "beta_min", "threshold", "sigma_f_source"]
     assert captured.out.endswith("sigma_f_source=none\n")
 
@@ -527,7 +551,7 @@ def test_check_computes_lambda_min_once(tmp_path, capsys, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh  # what nashadmm.graph calls
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
-    # the report line, condition_threshold and check_condition all read lambda_min(D + A)
+    # the report line and condition_threshold both read lambda_min(D + A)
     rc = cli.main(["check", write_cfg(tmp_path, QUAD), "--sigma-f", "0.3"])
     assert rc == 0
     assert "condition_satisfied=true" in capsys.readouterr().out

@@ -1,7 +1,8 @@
-"""The README's library examples, run as shipped, and its shell lines and
-`check` figures checked against the tree."""
+"""The README's library examples, run as shipped, and its shell lines,
+`check` figures and Config block checked against the tree."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -51,3 +52,10 @@ def test_readme_check_paragraph_matches_check_output(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     for pair in quoted:
         assert pair in lines, f"README quotes {pair!r}, which check does not print"
+
+
+def test_readme_config_block_is_the_default_config():
+    block = re.search(r"```jsonc\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    # no string in the block holds "//", so a comment starts at the first one on a line
+    text = "\n".join(line.split("//")[0] for line in block.splitlines())
+    assert json.loads(text) == cli.DEFAULT_CONFIG

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nashadmm import CommGraph, complete, path, random_connected_graph, ring
 from nashadmm.cli import ConfigError, build_graph
 
-from oracles import charpoly_eigs, neighbor_sums_loop
+from oracles import charpoly_eigs, neighbor_sums_loop, random_graph_edges
 
 
 def test_neighbors_ring():
@@ -68,10 +68,15 @@ def test_lambda_min_path3():
     assert math.isclose(path(3).lambda_min_d_plus_a(), 0.0, abs_tol=1e-10)
 
 
-def test_lambda_min_rejects_disconnected():
-    g = CommGraph(4, frozenset({(0, 1), (2, 3)}))
-    with pytest.raises(ValueError):
-        g.lambda_min_d_plus_a()
+def test_lambda_min_of_any_graph():
+    # D + A is positive semidefinite on any graph, singular iff a component is bipartite
+    for g, expected in [(CommGraph(4, frozenset({(0, 1), (2, 3)})), 0.0),
+                        (CommGraph(6, frozenset({(0, 1), (1, 2), (0, 2),
+                                                 (3, 4), (4, 5), (3, 5)})), 1.0),
+                        (CommGraph(1), 0.0)]:
+        exact = charpoly_eigs(g.d_plus_a().astype(int))[0]
+        assert math.isclose(exact, expected, abs_tol=1e-12)
+        assert math.isclose(g.lambda_min_d_plus_a(), exact, abs_tol=1e-10)
 
 
 def test_random_graph_zero_chords_is_ring():
@@ -93,6 +98,17 @@ def test_random_graph_too_many_chords():
     # 4 nodes: ring has 4 edges, K4 has 6, so only 2 chords exist
     with pytest.raises(ValueError):
         random_connected_graph(4, 3, 0)
+
+
+def test_random_graph_matches_pair_list_construction():
+    # the chord pool, taken from index arrays, keeps the sorted pair list's order,
+    # so rng.choice picks the same chords; n = 2 and 3 have no chords at all
+    chords = {n: max(0, n * (n - 3) // 2) for n in range(2, 40)}
+    cases = [(n, extra, seed) for n, top in chords.items() for seed in range(4)
+             for extra in sorted({0, min(1, top), top // 2, top})]
+    cases += [(200, 50, 3), (1000, 333, 0), (15, 5, 7)]
+    for n, extra, seed in cases:
+        assert random_connected_graph(n, extra, seed).edges == random_graph_edges(n, extra, seed)
 
 
 def test_random_graph_always_connected():
@@ -140,11 +156,10 @@ def test_stacked_neighbor_sums_bitwise(graph):
 
 def test_degree_adjacency_consistency():
     g = random_connected_graph(9, 4, 3)
-    A = g.adjacency()
-    assert np.array_equal(A, A.T)
-    assert np.all(np.diagonal(A) == 0)
-    assert np.array_equal(A.sum(axis=1), g.degrees())
-    assert np.array_equal(g.d_plus_a(), np.diag(g.degrees().astype(float)) + A)
+    M = g.d_plus_a()
+    assert np.array_equal(np.diagonal(M), g.degrees())
+    indicator = [[float((min(i, j), max(i, j)) in g.edges) for j in range(9)] for i in range(9)]
+    assert np.array_equal(M - np.diag(np.diagonal(M)), indicator)
 
 
 def test_spectral_bounds_on_corpus():
