@@ -82,7 +82,6 @@ class ComparisonReport:
     baseline_reason, never raised.
     """
 
-    tol: float
     admm_reason: str
     admm_iterations: int | None
     baseline_reason: str
@@ -119,7 +118,7 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     ratio = None if admm_iters is None else float("inf") if base_iters is None \
         else base_iters / admm_iters
     return ComparisonReport(
-        tol=tol, admm_reason=admm_result.reason, admm_iterations=admm_iters,
+        admm_reason=admm_result.reason, admm_iterations=admm_iters,
         baseline_reason=base_reason, baseline_iterations=base_iters,
         baseline_gamma=gammas[b] if done else None, sweep_results=tuple(sweep_results),
         ratio=ratio, admm_result=admm_result, baseline_result=base_res,

@@ -50,11 +50,10 @@ DEFAULT_CONFIG = {
 
 
 class ConfigError(Exception):
-    """Config rejection carrying the dotted path of the offending field."""
+    """Config rejection, its message led by the dotted path of the offending field."""
 
     def __init__(self, path: str, msg: str):
         super().__init__(f"{path}: {msg}")
-        self.path = path
 
 
 def _require(block: dict, key: str, path: str):
@@ -167,16 +166,16 @@ def build_game(block: dict, default_seed: int):
         raise ConfigError("game", str(e))
 
 
-def build_graph(block: dict, default_seed: int, n_players: int | None = None) -> CommGraph:
+def build_graph(block: dict, default_seed: int, n_players: int) -> CommGraph:
     """Accepted forms: {"type": "ring"|"complete"|"path", "n": int},
     {"type": "random", "n": int, "extra_edges": int, "seed": int} (seed
     defaults to the config's), {"type": "explicit", "n": int, "edges": [[i, j], ...]}.
-    An n other than n_players, if given, is rejected before any edge is built."""
+    An n other than n_players is rejected before any edge is built."""
     kind = block.get("type")
     if kind not in ("ring", "complete", "path", "random", "explicit"):
         raise ConfigError("graph.type", f"unknown graph type {kind!r}")
     n = _read(_require(block, "n", "graph"), "graph.n", int)
-    if n_players is not None and n != n_players:
+    if n != n_players:
         raise ConfigError("game", "player count disagrees with graph size")
     try:
         if kind == "random":
@@ -197,7 +196,7 @@ def build_admm(block: dict, game, graph: CommGraph):
     x0 = block.get("x0", "zeros")
     if isinstance(x0, str) and x0 != "zeros":
         raise ConfigError("admm.x0", f"unknown preset {x0!r}")
-    x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1, 2))
+    x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1,))
     cfg = read_settings(AdmmConfig, block, "admm")
     try:
         cfg.beta_vector(graph.n)
@@ -284,7 +283,7 @@ def cmd_run(args) -> int:
         trace=trace,
     )
     if result.reason == "diverged":
-        print(f"error: non-finite values at iteration {result.diverged_at}", file=sys.stderr)
+        print(f"error: non-finite values at iteration {result.state.k}", file=sys.stderr)
         return 1
     return 0 if result.reason == "converged" else 2
 
@@ -306,7 +305,7 @@ def cmd_compare(args) -> int:
     trace_b = out / "trace_baseline.csv"
     write_trace(trace_a, report.admm_result.records, timing=args.timing)
     write_trace(trace_b, report.baseline_result.records, timing=args.timing)
-    _emit(tol=report.tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,
+    _emit(tol=tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,
           baseline_reason=report.baseline_reason, baseline_iterations=report.baseline_iterations,
           baseline_gamma=report.baseline_gamma, ratio=report.ratio,
           trace_admm=trace_a, trace_baseline=trace_b)

@@ -174,12 +174,8 @@ def quadratic_sigma_f(game: QuadraticGame) -> float | None:
     return float(np.linalg.eigvalsh(0.5 * (Minv + Minv.T))[0])
 
 
-def random_quadratic_game(
-    n: int,
-    seed: int,
-    box_halfwidth: float = 10.0,
-) -> QuadraticGame:
-    """Seeded diagonally dominant quadratic game with an interior equilibrium.
+def random_quadratic_game(n: int, seed: int) -> QuadraticGame:
+    """Seeded diagonally dominant quadratic game on [-10, 10]^n with an interior equilibrium.
 
     The symmetric coupling is scaled so each row satisfies
     sum_j |B_ij| < a_i, making diag(a) + B positive definite; d is chosen to
@@ -193,8 +189,8 @@ def random_quadratic_game(
     row = np.abs(B).sum(axis=1)
     scale = 0.8 * a.min() / max(row.max(), 1e-12)
     B *= min(1.0, scale)
-    box = ActionBox.cube(n, -box_halfwidth, box_halfwidth)
-    target = rng.uniform(-0.5 * box_halfwidth, 0.5 * box_halfwidth, size=n)
+    box = ActionBox.cube(n, -10.0, 10.0)
+    target = rng.uniform(-5.0, 5.0, size=n)
     d = -(np.diag(a) + B) @ target
     return QuadraticGame(a, B, d, box)
 
@@ -219,11 +215,10 @@ class WanetGame(GameModel):
             raise ValueError("capacities must be a 1-d array, one per link")
         self.n_links = self.capacities.shape[0]
         self.routes = tuple(tuple(sorted(set(int(j) for j in r))) for r in routes)
-        self.n_users = len(self.routes)
-        self.n_players = self.n_users
+        self.n_players = len(self.routes)
         self.kappa = float(kappa)
         chi = np.asarray(chi, dtype=float)
-        self.chi = np.full(self.n_users, float(chi)) if chi.ndim == 0 else chi.copy()
+        self.chi = np.full(self.n_players, float(chi)) if chi.ndim == 0 else chi.copy()
         self.eps_guard = float(eps_guard)
 
         if not (np.isfinite(self.capacities).all() and np.isfinite(self.chi).all()
@@ -233,7 +228,7 @@ class WanetGame(GameModel):
             raise ValueError("link capacities must be positive")
         if self.kappa <= 0 or self.eps_guard <= 0:
             raise ValueError("kappa and eps_guard must be positive")
-        if self.chi.shape != (self.n_users,) or np.any(self.chi < 0):
+        if self.chi.shape != (self.n_players,) or np.any(self.chi < 0):
             raise ValueError("chi must be a nonnegative scalar or per-user vector")
         for i, r in enumerate(self.routes):
             if not r:
@@ -241,26 +236,22 @@ class WanetGame(GameModel):
             if r[0] < 0 or r[-1] >= self.n_links:
                 raise ValueError(f"route of user {i} references an invalid link")
 
-        self.action_box = action_box or ActionBox.cube(self.n_users, 0.0, 10.0)
-        if self.action_box.n != self.n_users:
+        self.action_box = action_box or ActionBox.cube(self.n_players, 0.0, 10.0)
+        if self.action_box.n != self.n_players:
             raise ValueError("action box size disagrees with user count")
 
         # usage[j, i] = 1 iff link j lies on user i's path
-        usage = np.zeros((self.n_links, self.n_users))
+        usage = np.zeros((self.n_links, self.n_players))
         for i, r in enumerate(self.routes):
             usage[list(r), i] = 1.0
         self._usage = usage
         self._on_route = usage > 0
 
-    def link_loads(self, x: np.ndarray) -> np.ndarray:
-        """Total flow per link at profile x (links on axis 0), or at each row of x (axis -2)."""
-        x = np.asarray(x, dtype=float)
-        return self._usage @ (x if x.ndim == 1 else x.swapaxes(-1, -2))
-
     def residual_capacities(self, x: np.ndarray) -> np.ndarray:
-        """C_j - load_j per link before guarding, shaped like `link_loads(x)`."""
-        loads = self.link_loads(x)
-        return (self.capacities if loads.ndim == 1 else self.capacities[:, None]) - loads
+        """Unguarded C_j - load_j per link: on axis 0 at a profile x, on axis -2 at rows of x."""
+        x = np.asarray(x, dtype=float)
+        loads = self._usage @ (x if x.ndim == 1 else x.swapaxes(-1, -2))
+        return (self.capacities if x.ndim == 1 else self.capacities[:, None]) - loads
 
     def cost(self, i: int, x: np.ndarray) -> float:
         self._check_index(i)

@@ -1,7 +1,7 @@
 """Undirected communication graphs and their spectral quantities.
 
 The solvers in this package exchange estimates over an undirected graph.
-Everything they need from the topology lives here: neighbor lookups,
+Everything they need from the topology lives here: neighbor sums,
 connectivity, and lambda_min(D + A), the spectral number in the penalty
 condition.
 """
@@ -80,12 +80,6 @@ class CommGraph:
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
         ends = _frozen(np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2).T.copy())
         return ends[0], ends[1]
-
-    def neighbors(self, i: int) -> list[int]:
-        """Sorted neighbor indices of node i."""
-        if not (0 <= i < self.n):
-            raise IndexError(f"node {i} out of range for n={self.n}")
-        return list(self._nbrs[i])
 
     def degrees(self) -> np.ndarray:
         """Vector of node degrees |N_i|."""
@@ -167,11 +161,15 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> CommGraph:
         raise ValueError("random connected graph needs n >= 2")
     if extra_edges < 0:
         raise ValueError("extra_edges must be nonnegative")
-    i, j = np.triu_indices(n, 1)  # every pair, in lexicographic order
-    chord = (j - i > 1) & (j - i < n - 1)  # less the ring's edges
-    i, j = i[chord], j[chord]
-    if extra_edges > i.size:
-        raise ValueError(f"extra_edges={extra_edges} exceeds the {i.size} available chords"
+    # Chord pool in lexicographic order, never built: row i holds (i, i + 2), ...,
+    # (i, n - 1), less the ring's (0, n - 1); a drawn index maps to its row's chord.
+    counts = np.maximum(n - 2 - np.arange(n), 0)
+    counts[0] = max(n - 3, 0)
+    ends = np.cumsum(counts)
+    if extra_edges > ends[-1]:
+        raise ValueError(f"extra_edges={extra_edges} exceeds the {ends[-1]} available chords"
                          f" for n={n}")
-    picks = np.random.default_rng(seed).choice(i.size, size=extra_edges, replace=False)
-    return CommGraph(n, ring(n).edges | set(zip(i[picks].tolist(), j[picks].tolist())))
+    picks = np.random.default_rng(seed).choice(ends[-1], size=extra_edges, replace=False)
+    i = np.searchsorted(ends, picks, side="right")
+    j = i + 2 + picks - (ends[i] - counts[i])
+    return CommGraph(n, ring(n).edges | set(zip(i.tolist(), j.tolist())))

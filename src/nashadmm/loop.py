@@ -5,7 +5,7 @@ single run is a stack of one."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,21 +57,20 @@ class SolverState:
 
     X: np.ndarray
     W: np.ndarray
-    k: int = 0
+    k: int
 
 
 @dataclass
 class RunResult:
     """Terminal state plus the sampled trace and why iteration stopped.
 
-    reason is one of "converged", "iteration budget", "diverged"; diverged_at
-    carries the iteration index that first produced a non-finite value.
+    reason is one of "converged", "iteration budget", "diverged"; a diverged
+    run's state.k is the iteration that first produced a non-finite value.
     """
 
     state: SolverState
-    records: list = field(default_factory=list)
-    reason: str = "converged"
-    diverged_at: int | None = None
+    records: list
+    reason: str
 
 
 def check_graph(graph: CommGraph) -> None:
@@ -85,26 +84,23 @@ def check_graph(graph: CommGraph) -> None:
 def check_problem(game: GameModel, graph: CommGraph, x0=None) -> np.ndarray:
     """The start x0 (default 0) for game on graph, after the checks both solvers
     rely on: one player per node of a connected graph of at least 2 nodes, and
-    x0 a profile or an n-by-n estimate matrix whose rows lie in the action box.
-    A failed check raises SettingError with field "game", "graph" or "x0"."""
+    x0 a profile inside the action box. A failed check raises SettingError with
+    field "game", "graph" or "x0"."""
     n = graph.n
     _check(game.n_players == n, "game", "player count disagrees with graph size")
     check_graph(graph)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape not in ((n,), (n, n)):
-        raise SettingError("x0", f"must have {n} coordinates" if x0.ndim == 1 else
-                           "must be a profile of length n or an n-by-n estimate matrix")
-    rows, box = np.atleast_2d(x0), game.action_box  # a profile is checked once, not once per copy
-    outside = ~np.all((rows >= box.lower) & (rows <= box.upper), axis=1)  # NaN is outside
-    if outside.any():
-        raise SettingError("x0", f"has row {np.flatnonzero(outside)[0]} outside the action box")
+    _check(x0.shape == (n,), "x0", f"must have {n} coordinates")
+    box = game.action_box
+    outside = np.flatnonzero(~((x0 >= box.lower) & (x0 <= box.upper)))  # NaN is outside
+    if outside.size:
+        raise SettingError("x0", f"has coordinate {outside[0]} outside the action box")
     return x0
 
 
 def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
-    """Fresh solver state at k = 0: rows broadcast from x0 (default 0), W = 0."""
-    x0 = check_problem(game, graph, x0)
-    X = x0[None].repeat(graph.n, axis=0) if x0.ndim == 1 else x0.copy()
+    """Fresh solver state at k = 0: every row a copy of the profile x0 (default 0), W = 0."""
+    X = check_problem(game, graph, x0)[None].repeat(graph.n, axis=0)
     return SolverState(X=X, W=np.zeros_like(X), k=0)
 
 
@@ -138,7 +134,7 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
             if last:
                 state = SolverState(X[g], np.zeros_like(X[g]) if W is None else W[g], k)
                 reason = "converged" if converged else "iteration budget" if ok else "diverged"
-                results[m] = RunResult(state, records[m], reason, None if ok else k)
+                results[m] = RunResult(state, records[m], reason)
                 done.append(g)
         if len(done) == len(live):
             return results

@@ -1,9 +1,20 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# hypothesis imports this (and through it libcst) the first time a test fails;
+# libcst's import warns, which filterwarnings = error would turn into a pytest
+# INTERNALERROR that ends the session. Import it once here, that warning muted.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from nashadmm import AdmmConfig, default_wanet_instance, run
 

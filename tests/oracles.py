@@ -75,9 +75,14 @@ def random_graph_edges(n: int, extra_edges: int, seed: int) -> frozenset:
     return frozenset(ring | {pool[int(p)] for p in picks})
 
 
+def neighbors(graph, i: int) -> list[int]:
+    """Sorted neighbors of node i, read off the edge set alone."""
+    return sorted(b if a == i else a for a, b in graph.edges if i in (a, b))
+
+
 def neighbor_sums_loop(X: np.ndarray, graph) -> np.ndarray:
     """Row i = X[N_i].sum(axis=0), one node at a time."""
-    return np.stack([X[graph.neighbors(i)].sum(axis=0) for i in range(graph.n)])
+    return np.stack([X[neighbors(graph, i)].sum(axis=0) for i in range(graph.n)])
 
 
 @dataclass
@@ -101,7 +106,7 @@ def init_dual_state(game, graph, x0=None) -> DualState:
     n = graph.n
     u, v = {}, {}
     for i in range(n):
-        for j in graph.neighbors(i):
+        for j in neighbors(graph, i):
             u[(i, j)] = np.zeros(n)
             v[(i, j)] = np.zeros(n)
     return DualState(u=u, v=v, X=X, k=0)
@@ -130,7 +135,7 @@ def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
 
     # w^i reconstructed from the refreshed multipliers
     msum = np.stack([
-        sum(u_new[(i, j)] + v_new[(j, i)] for j in graph.neighbors(i))
+        sum(u_new[(i, j)] + v_new[(j, i)] for j in neighbors(graph, i))
         for i in range(n)
     ])
 
@@ -153,7 +158,7 @@ def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
 def dual_w_matrix(dstate: DualState, graph) -> np.ndarray:
     """Aggregate w^i = sum_{j in N_i} (u^{ij} + v^{ji}) as an n-by-n matrix."""
     return np.stack([
-        sum(dstate.u[(i, j)] + dstate.v[(j, i)] for j in graph.neighbors(i))
+        sum(dstate.u[(i, j)] + dstate.v[(j, i)] for j in neighbors(graph, i))
         for i in range(graph.n)
     ])
 

@@ -71,22 +71,28 @@ def test_init_state_default_zeros():
 
 
 def test_init_state_rows_verbatim():
+    # every row holds the profile's bits (the sign of -0.0 too), in its own copy
     g, gr = make_pair()
-    X0 = np.array([[0.1, 0.2], [0.3, 0.4]])
-    s = init_state(g, gr, X0)
-    assert np.array_equal(s.X, X0)
-    X0[0, 0] = 99.0  # caller's array must not alias the state
+    x0 = np.array([0.1, -0.0])
+    s = init_state(g, gr, x0)
+    assert s.X.tobytes() == np.stack([x0, x0]).tobytes()
+    x0[0] = 99.0
+    s.X[1, 0] = 7.0
     assert s.X[0, 0] == 0.1
 
 
 def test_init_state_rejects_infeasible_x0():
     g, gr = make_pair()
     for bad in (100.0, np.nan):
-        with pytest.raises(ValueError, match="row 0 outside"):
+        with pytest.raises(ValueError, match="coordinate 0 outside"):
             init_state(g, gr, np.array([bad, 0.0]))
-    # an estimate matrix is checked row by row, and the first bad row is named
-    with pytest.raises(ValueError, match="row 1 outside"):
-        init_state(g, gr, np.array([[0.0, 0.0], [0.0, -100.0]]))
+        # the first bad coordinate is named
+        with pytest.raises(ValueError, match="coordinate 1 outside"):
+            init_state(g, gr, np.array([0.0, bad]))
+    # a start is a profile: an n-by-n matrix is a wrong length, not a set of rows
+    for shape in ((2, 2), (3,), (1,), ()):
+        with pytest.raises(ValueError, match="must have 2 coordinates"):
+            init_state(g, gr, np.zeros(shape))
 
 
 def test_init_state_rejects_disconnected():
@@ -230,9 +236,11 @@ def test_run_divergence_reported_with_iteration():
             return np.where(np.diagonal(X, axis1=-2, axis2=-1) > 0.25, np.nan, -1.0)
 
     res = run(PoisonGame(), path(2), AdmmConfig(max_iter=50), x0=np.zeros(2))
+    # state.k is the first iteration that went non-finite, and the last record's
     assert res.reason == "diverged"
-    assert res.diverged_at is not None and res.diverged_at >= 1
-    assert res.records[-1].k == res.diverged_at
+    assert res.state.k >= 1 and res.records[-1].k == res.state.k
+    assert not np.isfinite(res.state.X).all()
+    assert res.records[-2].k == res.state.k - 1 and np.isfinite(res.records[-2].actions).all()
 
 
 def test_run_record_schedule():

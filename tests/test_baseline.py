@@ -137,7 +137,6 @@ def test_compare_on_quadratic_game():
     assert converged
     assert rep.baseline_iterations == min(it for _, it in converged)
     assert rep.ratio == rep.baseline_iterations / rep.admm_iterations
-    assert rep.tol == 1e-5
 
 
 def test_compare_infinite_ratio_when_baseline_never_converges():
@@ -169,7 +168,7 @@ def _bits(result):
     """Everything a run reports, as bytes where it is an array or a float."""
     records = [(r.k, r.actions.tobytes(), np.array([r.consensus_error, r.ne_residual]).tobytes(),
                 r.guard_activations) for r in result.records]
-    return records, result.state.X.tobytes(), result.state.k, result.reason, result.diverged_at
+    return records, result.state.X.tobytes(), result.state.k, result.reason
 
 
 def test_stacked_sweep_matches_separate_runs():
@@ -192,7 +191,7 @@ def test_dropping_a_member_keeps_the_others_bits():
     game, graph, cfg = _capped_problem()
     runs = run_baseline(game, graph, replace(cfg, sweep=(0.2, 0.6, 0.05)))
     # the diverging member leaves the stack at iteration 4, the others go on
-    assert runs[1].diverged_at == 4 < runs[0].state.k
+    assert runs[1].reason == "diverged" and runs[1].state.k == 4 < runs[0].state.k
     without = run_baseline(game, graph, replace(cfg, sweep=(0.2, 0.05)))
     assert [_bits(r) for r in without] == [_bits(runs[0]), _bits(runs[2])]
 

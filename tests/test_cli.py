@@ -69,7 +69,7 @@ def test_run_divergence_exit_one(tmp_path, capsys, monkeypatch):
     rec = IterationRecord(k=3, actions=np.zeros(3), consensus_error=float("nan"),
                           ne_residual=float("nan"), guard_activations=0, elapsed=0.0)
     fake = RunResult(state=SolverState(np.zeros((3, 3)), np.zeros((3, 3)), 3),
-                     records=[rec], reason="diverged", diverged_at=3)
+                     records=[rec], reason="diverged")
     monkeypatch.setattr(cli, "run", lambda *a, **k: fake)
     rc = cli.main(["run", write_cfg(tmp_path, QUAD), "--output-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -143,6 +143,23 @@ def test_run_x0_appears_in_first_record(tmp_path, capsys):
     rows = (tmp_path / "trace.csv").read_text().splitlines()[1:4]
     actions = [r.split(",")[2] for r in rows]
     assert actions == [repr(0.1), repr(0.2), repr(0.3)]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "check"])
+@pytest.mark.parametrize("x0, message", [
+    ([[0] * 15] * 15, f"admm.x0[0]: must be a finite number, got {json.dumps([0] * 15)}"),
+    ([0, 20] + [0] * 13, "admm.x0: has coordinate 1 outside the action box"),
+], ids=["matrix", "coordinate-1"])
+def test_x0_is_a_profile_checked_coordinate_by_coordinate(tmp_path, capsys, command, x0,
+                                                          message):
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["admm"]["x0"] = x0
+    argv = [command, write_cfg(tmp_path, cfg)]
+    rc = cli.main(argv + ([] if command == "check" else ["--output-dir", str(tmp_path / "out")]))
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_wanet_with_explicit_routes(tmp_path, capsys):

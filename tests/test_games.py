@@ -183,14 +183,14 @@ def _wanet_loop_grad(game, x, i):
     """Player i's own partial at x, route terms summed in ascending link order;
     at most two users share a link, so the loads are exact."""
     r = list(game.routes[i])
-    loads = [sum(x[k] for k in range(game.n_users) if j in game.routes[k]) for j in r]
+    loads = [sum(x[k] for k in range(game.n_players) if j in game.routes[k]) for j in r]
     den = np.maximum(game.capacities[r] - loads, game.eps_guard)
     return np.sum(game.kappa / den**2) - game.chi[i] / (x[i] + 1.0)
 
 
 def test_wanet_grad_matches_central_difference_at_ones(wanet_default):
     game, _ = wanet_default
-    n = game.n_users
+    n = game.n_players
     # one profile per player: row 0 is all ones, the others tilt away from it
     X = 1.0 + 0.1 * np.arange(n)[:, None] * np.linspace(-1.0, 1.0, n)
     grads = game.own_gradients(X)
@@ -271,18 +271,20 @@ def test_wanet_convex_along_own_coordinate(wanet_default):
     game, _ = wanet_default
     rng = np.random.default_rng(21)
     for _ in range(50):
-        x = rng.uniform(0.2, 1.8, size=game.n_users)
+        x = rng.uniform(0.2, 1.8, size=game.n_players)
         assert np.all(game.residual_capacities(x) > 0.5)
-        i = int(rng.integers(0, game.n_users))
+        i = int(rng.integers(0, game.n_players))
         assert second_diff(lambda y: game.cost(i, y), x, i) >= -1e-9
 
 
 def test_wanet_link_loads():
+    # residual capacity = C_j - load_j, links on axis 0 for a profile, axis -2 for rows
     g = WanetGame([10.0, 10.0], [[0], [0, 1]], kappa=1.0, chi=10.0)
-    loads = g.link_loads(np.array([2.0, 3.0]))
-    assert np.allclose(loads, [5.0, 3.0])
-    stacked = g.link_loads(np.array([[2.0, 3.0], [1.0, 0.0]]))
-    assert np.allclose(stacked, [[5.0, 1.0], [3.0, 0.0]])
+    assert np.array_equal(g.residual_capacities(np.array([2.0, 3.0])), [5.0, 7.0])
+    stacked = g.residual_capacities(np.array([[2.0, 3.0], [1.0, 0.0]]))
+    assert np.array_equal(stacked, [[5.0, 9.0], [7.0, 10.0]])
+    rows = np.array([[[2.0, 3.0], [1.0, 0.0]]] * 3)
+    assert np.array_equal(g.residual_capacities(rows), np.stack([stacked] * 3))
 
 
 # -------------------------------------------------- default_wanet_instance
@@ -299,7 +301,7 @@ def test_default_instance_deterministic():
 def test_default_instance_shape():
     for seed in [0, 7, 31]:
         game, graph = default_wanet_instance(seed)
-        assert game.n_users == 15 and game.n_links == 16
+        assert game.n_players == 15 and game.n_links == 16
         assert np.all(game.capacities == 10.0)
         assert np.all(game.chi == 10.0)
         assert np.array_equal(game.action_box.lower, np.zeros(15))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,26 +9,19 @@ from hypothesis import strategies as st
 from nashadmm import CommGraph, complete, path, random_connected_graph, ring
 from nashadmm.cli import ConfigError, build_graph
 
-from oracles import charpoly_eigs, neighbor_sums_loop, random_graph_edges
+from oracles import charpoly_eigs, neighbor_sums_loop, neighbors, random_graph_edges
 
 
 def test_neighbors_ring():
-    assert ring(4).neighbors(0) == [1, 3]
+    assert neighbors(ring(4), 0) == [1, 3]
 
 
 def test_neighbors_complete():
-    assert complete(3).neighbors(1) == [0, 2]
+    assert neighbors(complete(3), 1) == [0, 2]
 
 
 def test_neighbors_path_interior():
-    assert path(3).neighbors(1) == [0, 2]
-
-
-def test_neighbors_out_of_range():
-    with pytest.raises(IndexError):
-        ring(4).neighbors(4)
-    with pytest.raises(IndexError):
-        ring(4).neighbors(-1)
+    assert neighbors(path(3), 1) == [0, 2]
 
 
 def test_no_self_loops():
@@ -101,7 +95,7 @@ def test_random_graph_too_many_chords():
 
 
 def test_random_graph_matches_pair_list_construction():
-    # the chord pool, taken from index arrays, keeps the sorted pair list's order,
+    # the chord picked for each drawn index keeps the sorted pair list's order,
     # so rng.choice picks the same chords; n = 2 and 3 have no chords at all
     chords = {n: max(0, n * (n - 3) // 2) for n in range(2, 40)}
     cases = [(n, extra, seed) for n, top in chords.items() for seed in range(4)
@@ -109,6 +103,23 @@ def test_random_graph_matches_pair_list_construction():
     cases += [(200, 50, 3), (1000, 333, 0), (15, 5, 7)]
     for n, extra, seed in cases:
         assert random_connected_graph(n, extra, seed).edges == random_graph_edges(n, extra, seed)
+
+
+def test_random_graph_draws_chords_without_a_pair_pool():
+    # a pool of every vertex pair, built to draw from, peaks at 148 MB here
+    n, extra, seed = 3000, 100, 0
+    tracemalloc.start()
+    try:
+        edges = random_connected_graph(n, extra, seed).edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    i, j = np.triu_indices(n, 1)
+    chord = (j - i > 1) & (j - i < n - 1)
+    i, j = i[chord], j[chord]
+    picks = np.random.default_rng(seed).choice(i.size, size=extra, replace=False)
+    assert edges == ring(n).edges | set(zip(i[picks].tolist(), j[picks].tolist()))
 
 
 def test_random_graph_always_connected():
@@ -124,8 +135,8 @@ def test_random_graph_always_connected():
 def test_neighbor_symmetry(n, extra, seed):
     g = random_connected_graph(n, min(extra, max(0, n * (n - 3) // 2)), seed)
     for i in range(n):
-        for j in g.neighbors(i):
-            assert i in g.neighbors(j)
+        for j in neighbors(g, i):
+            assert i in neighbors(g, j)
 
 
 @pytest.mark.parametrize("graph", [
@@ -184,13 +195,13 @@ def test_eigs_match_charpoly_small_graphs():
 
 
 def test_graph_from_config_forms():
-    assert build_graph({"type": "ring", "n": 5}, 0).edges == ring(5).edges
-    assert build_graph({"type": "complete", "n": 4}, 0).edges == complete(4).edges
-    assert build_graph({"type": "path", "n": 3}, 0).edges == path(3).edges
-    r = build_graph({"type": "random", "n": 10, "extra_edges": 3, "seed": 5}, 0)
+    assert build_graph({"type": "ring", "n": 5}, 0, 5).edges == ring(5).edges
+    assert build_graph({"type": "complete", "n": 4}, 0, 4).edges == complete(4).edges
+    assert build_graph({"type": "path", "n": 3}, 0, 3).edges == path(3).edges
+    r = build_graph({"type": "random", "n": 10, "extra_edges": 3, "seed": 5}, 0, 10)
     assert r.edges == random_connected_graph(10, 3, 5).edges
-    assert build_graph({"type": "random", "n": 10, "extra_edges": 3}, 5).edges == r.edges
-    e = build_graph({"type": "explicit", "n": 3, "edges": [[0, 1], [1, 2]]}, 0)
+    assert build_graph({"type": "random", "n": 10, "extra_edges": 3}, 5, 10).edges == r.edges
+    e = build_graph({"type": "explicit", "n": 3, "edges": [[0, 1], [1, 2]]}, 0, 3)
     assert e.edges == path(3).edges
     with pytest.raises(ConfigError):
-        build_graph({"type": "torus", "n": 3}, 0)
+        build_graph({"type": "torus", "n": 3}, 0, 3)
