@@ -6,9 +6,11 @@ constraints x^i = x^j on every communication edge tie the copies together,
 and an augmented-Lagrangian splitting yields a per-player recursion whose
 only dual memory is the aggregate penalty vector w^i.
 
-All updates are synchronous: every player reads iteration-k state and the new
-state is assembled in fresh arrays. tests/oracles.py keeps the explicit form,
-one multiplier pair per directed edge, as the reference for this recursion.
+All updates are synchronous: every player reads iteration-k state. The step
+writes the new estimates into arrays its plan holds and updates the penalty
+vectors in place once nothing reads their old values. tests/oracles.py keeps
+the explicit form, one multiplier pair per directed edge, as the reference for
+this recursion.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     on a stack of states, its per-run constants computed once and shared by
     every member (so the step has no use for `live`).
 
+    The step allocates no matrix once running. Per stack shape it holds four
+    arrays of X's shape: the neighbor sums, the W increment, and two arrays
+    the returned X alternates between, so a returned X is overwritten two
+    steps later. It updates W in place and returns it.
+
     With all quantities on the right-hand side read from iteration k:
 
     1. w^i <- w^i + c * sum_{j in N_i} (x^i - x^j)
@@ -88,20 +95,28 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     alpha, keep = beta + two_c_deg, beta + c * deg
     deg_col, two_c_col = deg[:, None], two_c_deg[:, None]
 
+    held = []  # S, T, A, B
+
     def step(X: np.ndarray, W: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
-        # in place, in the operation order of W + c (deg X - S) and S / deg - W / (2c deg)
-        S = graph.neighbor_sums(X)
-        W_new = deg_col * X
-        W_new -= S
-        W_new *= c
-        W_new += W
-        own_num = keep * X.diagonal(0, -2, -1) - W_new.diagonal(0, -2, -1) \
-            - game.own_gradients(X) + c * S.diagonal(0, -2, -1)
-        X_new = S / deg_col
+        if not held or held[0].shape != X.shape:  # the first step, or members dropped
+            held[:] = [np.empty(X.shape) for _ in range(4)]
+        S, T, A, B = held
+        X_new = B if np.may_share_memory(X, A) else A
+        # in the operation order of W + c (deg X - S) and S / deg - W / (2c deg);
+        # W += T is bitwise T + W, so W is updated once X_new has read it
+        graph.neighbor_sums(X, out=S, work=T)
+        np.multiply(deg_col, X, out=T)
+        T -= S
+        T *= c
+        c_own_sums = c * S.diagonal(0, -2, -1)
+        np.divide(S, deg_col, out=X_new)
         X_new -= np.divide(W, two_c_col, out=S)
+        W += T
+        own_num = keep * X.diagonal(0, -2, -1) - W.diagonal(0, -2, -1) \
+            - game.own_gradients(X) + c_own_sums
         # the projection writes through a view of each diagonal
         game.action_box.project(own_num / alpha, out=np.einsum("...ii->...i", X_new))
-        return X_new, W_new
+        return X_new, W
 
     return step
 

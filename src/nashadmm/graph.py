@@ -89,21 +89,30 @@ class CommGraph:
         """Read-only endpoint arrays (i, j), i < j, one entry per edge."""
         return self._ends
 
-    def neighbor_sums(self, X: np.ndarray) -> np.ndarray:
+    def neighbor_sums(self, X: np.ndarray, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
         """Row i = sum of the rows X[..., j, :], j in N_i, added in ascending j
-        (a fixed order, so repeated runs are bit-identical); X may be a stack."""
+        (a fixed order, so repeated runs are bit-identical); X may be a stack.
+
+        The sums go into `out` if given. A gather of a full slot after the first
+        goes into `work` if given, so the two arrays make every slot of a regular
+        graph allocation-free; both have X's shape and neither may overlap X.
+        """
+        # mode="clip" writes straight into `out`; the default "raise" gathers
+        # into a temporary first. Every index is in range, so nothing is clipped.
         (rows, cols), *rest = self._slots
         if rows.size == self.n:
-            S = X.take(cols, axis=-2)
+            S = X.take(cols, axis=-2, out=out, mode="clip")
         else:
-            S = np.zeros_like(X)  # degree-0 rows
+            S = np.empty_like(X) if out is None else out
+            S.fill(0.0)  # degree-0 rows
             S[..., rows, :] = X.take(cols, axis=-2)
         # A sum starts from +0.0, so all -0.0 neighbors sum to +0.0; adding +0.0
         # to the first term gives that sign and leaves every other value as it is.
         S += 0.0
         for rows, cols in rest:
             if rows.size == self.n:
-                S += X.take(cols, axis=-2)
+                S += X.take(cols, axis=-2, out=work, mode="clip")
             else:
                 S[..., rows, :] += X.take(cols, axis=-2)
         return S

@@ -109,30 +109,42 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     """Step, measure, record and stop each member of a stack on its own.
 
     X and W (None for a solver without duals) hold one state per member on
-    axis 0, and `step(X, W, live)` advances them all, `live` giving each row's
-    index in the original stack. A member whose step produced a non-finite
-    value stops as "diverged". A stopped member leaves the stack; the others
-    go on as if they ran alone, and each keeps its own records. A record's
-    `elapsed` is the whole stack's wall clock.
+    axis 0, and `step(X, W, live)` returns them all advanced, `live` giving each
+    row's index in the original stack. The step may write into W and into
+    arrays it returned before, so a result holds copies. A member whose step
+    produced a non-finite value stops as "diverged". A stopped member leaves
+    the stack; the others go on as if they ran alone, and each keeps its own
+    records. A record's `elapsed` is the whole stack's wall clock.
+
+    ne_residual is computed for every member at every iteration. The consensus
+    error is computed only where it is read: for the whole stack on a recorded
+    iteration, and for a member that is non-finite or whose residual is within
+    its tolerance, since convergence needs both.
     """
     t0 = time.perf_counter()
     k, live, finite = 0, list(range(X.shape[0])), [True] * X.shape[0]
     records, results = [[] for _ in live], [None] * len(live)
     while True:
         actions = X.diagonal(0, -2, -1)
-        ce, nr = consensus_error(X, graph).tolist(), ne_residual(actions.copy(), game).tolist()
+        nr = ne_residual(actions.copy(), game).tolist()
+        recorded = k % stop.record_every == 0 or k >= stop.max_iter
+        ce = consensus_error(X, graph).tolist() if recorded else [None] * len(live)
         guards, done, elapsed = None, [], time.perf_counter() - t0
         for g, m in enumerate(live):
             ok = finite[g]
-            converged = k > 0 and ok and ce[g] <= stop.tol_consensus and nr[g] <= stop.tol_residual
+            close = k > 0 and ok and nr[g] <= stop.tol_residual
+            if ce[g] is None and (close or not ok):
+                ce[g] = consensus_error(X[g], graph)
+            converged = close and ce[g] <= stop.tol_consensus
             last = not ok or converged or k >= stop.max_iter
-            if last or k % stop.record_every == 0:
+            if last or recorded:
                 if guards is None:
                     guards = game.guard_activations(X).tolist()
                 records[m].append(IterationRecord(
                     k, actions[g].copy(), ce[g], nr[g], guards[g], elapsed))
             if last:
-                state = SolverState(X[g], np.zeros_like(X[g]) if W is None else W[g], k)
+                dual = np.zeros_like(X[g]) if W is None else W[g].copy()
+                state = SolverState(X[g].copy(), dual, k)
                 reason = "converged" if converged else "iteration budget" if ok else "diverged"
                 results[m] = RunResult(state, records[m], reason)
                 done.append(g)

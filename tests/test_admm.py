@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,8 @@ from nashadmm.admm import _admm_plan
 from nashadmm.loop import SettingError
 
 from oracles import dual_w_matrix, init_dual_state, unsimplified_step
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_pair(n=2):
@@ -131,7 +138,7 @@ def test_step_consensus_rows_leave_w_unchanged():
     x = np.array([0.3, -0.2, 0.9, 0.1])
     s = init_state(g, gr, x)
     W0 = np.arange(16.0).reshape(1, 4, 4) / 10.0
-    _, W = _admm_plan(g, gr, AdmmConfig(c=1.25))(s.X[None], W0, [0])
+    _, W = _admm_plan(g, gr, AdmmConfig(c=1.25))(s.X[None], W0.copy(), [0])
     assert np.array_equal(W, W0)
 
 
@@ -167,6 +174,52 @@ def test_w_column_sums_stay_near_zero():
     for _ in range(300):
         X, W = step(X, W, [0])
         assert np.max(np.abs(W[0].sum(axis=0))) <= 1e-9
+
+
+def test_steady_state_step_allocates_no_matrix():
+    n = 200
+    g, gr = random_quadratic_game(n, seed=0), ring(n)
+    s, step = init_state(g, gr, np.linspace(-1, 1, n)), _admm_plan(g, gr, AdmmConfig())
+    X, W = s.X[None], s.W[None]
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the plan takes its arrays on the first steps
+            X, W = step(X, W, [0])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            X, W = step(X, W, [0])
+        grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # fresh arrays per step would grow it by about three n-by-n matrices
+    assert grown < n * n * 8
+
+
+_FAULTS_PER_ITERATION = """
+import resource, sys
+import numpy as np
+from nashadmm import AdmmConfig, random_quadratic_game, ring, run
+game, graph = random_quadratic_game(200, 0), ring(200)
+cfg = AdmmConfig(max_iter=300, record_every=300, tol_consensus=1e-30, tol_residual=1e-30)
+run(game, graph, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+res = run(game, graph, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / res.state.k)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is read on Linux")
+def test_second_solve_takes_almost_no_page_faults():
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_ITERATION], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # fresh n-by-n arrays from malloc take about 60 faults an iteration; the
+    # plan's first touch of its own four arrays costs about 1 an iteration here
+    assert float(proc.stdout) < 5
 
 
 # ------------------------------------------------------- unsimplified form
@@ -224,23 +277,34 @@ def test_run_reaches_oracle_ne():
     assert np.max(np.abs(np.diagonal(res.state.X) - quadratic_ne(g))) <= 1e-6
 
 
+class PoisonGame(GameModel):
+    """Gradient -1 until an action passes 0.25, NaN from then on."""
+
+    n_players = 2
+    action_box = ActionBox.cube(2, -10, 10)
+
+    def cost(self, i, x):
+        return 0.0
+
+    def own_gradients(self, X):
+        return np.where(np.diagonal(X, axis1=-2, axis2=-1) > 0.25, np.nan, -1.0)
+
+
 def test_run_divergence_reported_with_iteration():
-    class PoisonGame(GameModel):
-        n_players = 2
-        action_box = ActionBox.cube(2, -10, 10)
-
-        def cost(self, i, x):
-            return 0.0
-
-        def own_gradients(self, X):
-            return np.where(np.diagonal(X, axis1=-2, axis2=-1) > 0.25, np.nan, -1.0)
-
     res = run(PoisonGame(), path(2), AdmmConfig(max_iter=50), x0=np.zeros(2))
     # state.k is the first iteration that went non-finite, and the last record's
     assert res.reason == "diverged"
     assert res.state.k >= 1 and res.records[-1].k == res.state.k
     assert not np.isfinite(res.state.X).all()
     assert res.records[-2].k == res.state.k - 1 and np.isfinite(res.records[-2].actions).all()
+
+
+def test_diverged_run_records_its_consensus_error():
+    # off the record grid, so only the non-finite member asks for the metric
+    res = run(PoisonGame(), path(2), AdmmConfig(max_iter=50, record_every=1000))
+    assert res.reason == "diverged" and [r.k for r in res.records] == [0, res.state.k]
+    ce = res.records[-1].consensus_error
+    assert np.array(ce).tobytes() == np.array(consensus_error(res.state.X, path(2))).tobytes()
 
 
 def test_run_record_schedule():

@@ -153,8 +153,8 @@ def test_neighbor_sums_bitwise(graph):
 
 @pytest.mark.parametrize("graph", [
     ring(200), random_connected_graph(15, 5, 7),
-    CommGraph(12, frozenset((0, j) for j in range(1, 12))),
-], ids=["ring200", "random15", "star12"])
+    CommGraph(12, frozenset((0, j) for j in range(1, 12))), CommGraph(3),
+], ids=["ring200", "random15", "star12", "edgeless3"])
 def test_stacked_neighbor_sums_bitwise(graph):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((3, graph.n, graph.n))
@@ -163,6 +163,10 @@ def test_stacked_neighbor_sums_bitwise(graph):
     assert S.shape == X.shape
     for g in range(3):
         assert S[g].tobytes() == neighbor_sums_loop(X[g], graph).tobytes()
+    # the same bytes written into given arrays, whatever they held
+    out, work = np.full_like(X, np.nan), np.full_like(X, np.nan)
+    assert graph.neighbor_sums(X, out=out, work=work) is out
+    assert out.tobytes() == S.tobytes()
 
 
 def test_degree_adjacency_consistency():

@@ -1,0 +1,94 @@
+"""What the loop may skip or reuse cannot be seen from outside: the consensus
+error is computed only where it is read, and a result holds its own arrays."""
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import nashadmm.loop as loop
+from nashadmm import (
+    AdmmConfig,
+    BaselineConfig,
+    default_wanet_instance,
+    random_quadratic_game,
+    ring,
+    run,
+    run_baseline,
+)
+
+
+def _record_bits(r):
+    """A record as bytes, all but its wall clock."""
+    return (r.k, r.actions.tobytes(), np.array([r.consensus_error, r.ne_residual]).tobytes(),
+            r.guard_activations)
+
+
+def _state_bits(result):
+    return result.state.X.tobytes(), result.state.W.tobytes(), result.state.k, result.reason
+
+
+# the residual tolerance holds for 99 (quadratic) and 213 (wanet) iterations
+# before the consensus tolerance does, so both reasons to compute it are taken
+@pytest.mark.parametrize("problem, cfg", [
+    ((random_quadratic_game(8, 1), ring(8)), AdmmConfig(tol_consensus=1e-8, tol_residual=1e-4)),
+    (default_wanet_instance(7), AdmmConfig(tol_consensus=1e-6, tol_residual=1e-3)),
+], ids=["quadratic", "wanet"])
+def test_sparse_records_are_the_dense_records_at_their_iterations(problem, cfg):
+    game, graph = problem
+    dense = run(game, graph, replace(cfg, record_every=1))
+    sparse = run(game, graph, replace(cfg, record_every=7))
+    assert dense.reason == "converged" and dense.state.k % 7 != 0
+    assert _state_bits(sparse) == _state_bits(dense)
+    ks = [*range(0, dense.state.k + 1, 7), dense.state.k]
+    assert [r.k for r in sparse.records] == ks
+    assert [_record_bits(r) for r in sparse.records] \
+        == [_record_bits(dense.records[k]) for k in ks]
+
+
+def test_consensus_error_runs_only_where_it_is_read(monkeypatch):
+    game, graph = random_quadratic_game(8, 1), ring(8)
+    cfg = AdmmConfig(tol_consensus=1e-8, tol_residual=1e-4, record_every=50)
+    residuals, calls = [], []
+    ne_residual, consensus_error = loop.ne_residual, loop.consensus_error
+
+    def residual(x, game):
+        residuals.append(ne_residual(x, game))
+        return residuals[-1]
+
+    def error(X, graph):
+        calls.append(len(residuals) - 1)  # the iteration the loop is judging
+        return consensus_error(X, graph)
+
+    monkeypatch.setattr(loop, "ne_residual", residual)
+    monkeypatch.setattr(loop, "consensus_error", error)
+    res = run(game, graph, cfg)
+    end = res.state.k
+    assert res.reason == "converged" and len(residuals) == end + 1
+    close = {k for k in range(1, end + 1) if residuals[k][0] <= cfg.tol_residual}
+    recorded = {*range(0, end + 1, cfg.record_every), end}
+    assert len(close) == 99 and len(recorded) == 7
+    assert calls == sorted(close | recorded)
+
+
+def test_sweep_results_share_no_memory():
+    game, graph = random_quadratic_game(6, 4), ring(6)
+    cfg = BaselineConfig(sweep=(0.2, 0.1, 0.05, 0.6), max_iter=300, record_every=50,
+                         tol_consensus=1e-6, tol_residual=1e-6)
+    runs = run_baseline(game, graph, cfg)
+    assert len({r.state.k for r in runs}) > 1  # members leave the stack at different steps
+    arrays = [a for r in runs for a in (r.state.X, r.state.W, *(rec.actions for rec in r.records))]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+
+def test_a_second_run_leaves_the_first_result_as_it_was():
+    game, graph = random_quadratic_game(10, 2), ring(10)
+    cfg = AdmmConfig(max_iter=120, record_every=10, tol_consensus=1e-30, tol_residual=1e-30)
+    first = run(game, graph, cfg)
+    before = _state_bits(first), [_record_bits(r) for r in first.records]
+    second = run(game, graph, cfg)
+    assert (_state_bits(first), [_record_bits(r) for r in first.records]) == before
+    assert _state_bits(second) == before[0]
+    for a, b in ((first.state.X, second.state.X), (first.state.W, second.state.W)):
+        assert not np.shares_memory(a, b)
