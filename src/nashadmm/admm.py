@@ -64,6 +64,18 @@ class AdmmConfig(StopRule):
         return b
 
 
+def _step_weights(cfg: AdmmConfig, graph: CommGraph):
+    """The step's per-player constants on graph: degrees |N_i|, beta, 2c|N_i| and
+    alpha = beta + 2c|N_i|. A beta of the wrong length, or a c so large that
+    alpha or 2c|N_i| is not finite, raises SettingError before any step."""
+    deg, beta = graph.degrees().astype(float), cfg.beta_vector(graph.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_c_deg = 2.0 * cfg.c * deg
+        alpha = beta + two_c_deg
+    _check(np.isfinite(alpha).all(), "c", "must keep beta + 2c * degree finite")
+    return deg, beta, two_c_deg, alpha
+
+
 def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     """The step: one synchronous iteration of the compact per-player recursion
     on a stack of states, its per-run constants computed once and shared by
@@ -89,10 +101,9 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     multiplier form step for step. The input gate has passed game and graph,
     so every player has a neighbor.
     """
-    deg = graph.degrees().astype(float)
-    c, beta = cfg.c, cfg.beta_vector(graph.n)
-    two_c_deg = 2.0 * c * deg
-    alpha, keep = beta + two_c_deg, beta + c * deg
+    c = cfg.c
+    deg, beta, two_c_deg, alpha = _step_weights(cfg, graph)
+    keep = beta + c * deg
     deg_col, two_c_col = deg[:, None], two_c_deg[:, None]
 
     held = []  # S, T, A, B

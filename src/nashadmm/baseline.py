@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import AdmmConfig, run as admm_run
+from .admm import AdmmConfig, _step_weights, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
 from .loop import RunResult, StopRule, _check, _drive, init_state
@@ -102,7 +102,7 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     the comparison is not decided by a badly tuned gamma.
     """
     a_cfg = replace(admm_cfg, tol_consensus=tol, tol_residual=tol)
-    a_cfg.beta_vector(graph.n)  # a bad beta is reported before the sweep runs
+    _step_weights(a_cfg, graph)  # a bad beta or c is reported before the sweep runs
     b_cfg = replace(baseline_cfg, tol_consensus=tol, tol_residual=tol)
     gammas, runs = b_cfg.sweep, run_baseline(game, graph, b_cfg, x0)
     sweep_results = [(g, r.reason, r.state.k if r.reason == "converged" else None)

@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .admm import AdmmConfig, condition_threshold, run
+from .admm import AdmmConfig, _step_weights, condition_threshold, run
 from .baseline import BaselineConfig, compare
 from .games import ActionBox, QuadraticGame, WanetGame, default_wanet_instance, quadratic_sigma_f
 from .graph import CommGraph, complete, path, random_connected_graph, ring
@@ -149,16 +149,22 @@ def build_game(block: dict, default_seed: int):
             lower, upper = (_as_bounds(_require(box_blk, k, "game.box"), len(a), f"game.box.{k}")
                             for k in ("lower", "upper"))
             return QuadraticGame(a, B, d, ActionBox(lower, upper))
+        caps = _array(block["capacities"], "game.capacities", (1,)) \
+            if "capacities" in block else None
         if "routes" in block:
             routes = _read(block["routes"], "game.routes", int, (2,))
             if not routes:
                 raise ConfigError("game.routes", "must list at least one route")
-            caps = np.full(1 + max(max(r, default=0) for r in routes), 10.0)
+            if caps is None:  # capacity 10 on each link a route uses, renumbered in order,
+                # so no array is sized by a link index; a negative one stays invalid
+                used = sorted({j for r in routes for j in r if j >= 0})
+                index = dict(zip(used, range(len(used))))
+                routes = [[index.get(j, j) for j in r] for r in routes]
+                caps = np.full(len(used), 10.0)
         else:
             base, _ = default_wanet_instance(_seed(block.get("seed", default_seed), "game.seed"))
-            routes, caps = base.routes, base.capacities
-        if "capacities" in block:
-            caps = _array(block["capacities"], "game.capacities", (1,))
+            routes = base.routes
+            caps = base.capacities if caps is None else caps
         params = {k: _read(block[k], f"game.{k}", float, (0, 1) if k == "chi" else (0,))
                   for k in ("kappa", "chi", "eps_guard") if k in block}
         return WanetGame(capacities=caps, routes=routes, **params)
@@ -199,7 +205,7 @@ def build_admm(block: dict, game, graph: CommGraph):
     x0 = None if x0 == "zeros" else _array(x0, "admm.x0", (1,))
     cfg = read_settings(AdmmConfig, block, "admm")
     try:
-        cfg.beta_vector(graph.n)
+        _step_weights(cfg, graph)
         x0 = check_problem(game, graph, x0)
     except SettingError as e:
         raise ConfigError(e.field if e.field in ("game", "graph") else f"admm.{e.field}", e.reason)

@@ -57,7 +57,8 @@ class ActionBox:
 
     def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Euclidean projection onto the box (componentwise clip), into `out` if given."""
-        return np.clip(x, self.lower, self.upper, out=out)
+        # the method reaches np.clip's ufunc through fewer Python layers
+        return np.asarray(x).clip(self.lower, self.upper, out=out)
 
     @staticmethod
     def cube(n: int, lower: float, upper: float) -> "ActionBox":
@@ -259,18 +260,33 @@ class WanetGame(GameModel):
         den = np.maximum(self.residual_capacities(x)[self._on_route[:, i]], self.eps_guard)
         return float(np.sum(self.kappa / den) - self.chi[i] * np.log(x[i] + 1.0))
 
-    def own_gradients(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        den = np.maximum(self.residual_capacities(X), self.eps_guard)
+    def _prices(self, residual: np.ndarray) -> np.ndarray:
+        """Column i: the sum over user i's links of kappa / den^2, den the guarded
+        residual capacity; residual is (..., links, rows), or (..., links, 1) for
+        one profile shared by every user."""
+        den = np.maximum(residual, self.eps_guard)
         # off-route terms are exactly 0.0, and this C-ordered (..., links, rows)
         # array sums along the links axis in ascending link order, so column i
         # sums as user i's route terms alone would
-        price = np.where(self._on_route, self.kappa / den**2, 0.0).sum(axis=-2)
-        return price - self.chi / (X.diagonal(0, -2, -1) + 1.0)
+        return np.where(self._on_route, self.kappa / den**2, 0.0).sum(axis=-2)
+
+    def own_gradients(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return self._prices(self.residual_capacities(X)) - self.chi / (X.diagonal(0, -2, -1) + 1.0)
+
+    def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
+        """F(x), each profile's link loads evaluated once rather than once per user.
+        A load is then a matrix-vector sum, not a column of a matrix product over
+        n copies of x, and may add its terms in another order: the two agree bit
+        for bit wherever at most two users share a link, and to rounding elsewhere."""
+        x = np.asarray(x, dtype=float)
+        return self._prices(self.residual_capacities(x[..., None, :])) - self.chi / (x + 1.0)
 
     def guard_activations(self, X: np.ndarray):
-        clamped = self.residual_capacities(X) < self.eps_guard
-        counts = (clamped & self._on_route).sum(axis=(-2, -1))
+        residual = self.residual_capacities(X)
+        if residual.min(initial=np.inf) >= self.eps_guard:  # nothing clamped (NaN counts below)
+            return 0 if np.ndim(X) == 2 else np.zeros(np.shape(X)[:-2], dtype=int)
+        counts = ((residual < self.eps_guard) & self._on_route).sum(axis=(-2, -1))
         return int(counts) if np.ndim(X) == 2 else counts
 
 

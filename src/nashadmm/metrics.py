@@ -46,11 +46,17 @@ def consensus_error(X: np.ndarray, graph: CommGraph):
     i, j = graph.edge_index()
     # about 2^20 differences at a time, so dense graphs stay in bounded memory
     block = max(1, (1 << 20) // max(1, X[..., 0, :].size))
-    rows = lambda e: X.take(e, axis=-2)
-    peaks = [np.max(np.abs(rows(i[s:s + block]) - rows(j[s:s + block])), axis=(-2, -1))
-             for s in range(0, i.size, block)]
-    peak = np.max(peaks, axis=0) if peaks else np.zeros(X.shape[:-2])
+    peak = _edge_peak(X, i[:block], j[:block])
+    for s in range(block, i.size, block):
+        peak = np.maximum(peak, _edge_peak(X, i[s:s + block], j[s:s + block]))
     return float(peak) if X.ndim == 2 else peak
+
+
+def _edge_peak(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max over the edges (i[e], j[e]) of ||x^i - x^j||_inf, one value per matrix
+    of X; 0 for no edges."""
+    return np.maximum.reduce(np.abs(X.take(i, axis=-2) - X.take(j, axis=-2)), axis=(-2, -1),
+                             initial=0.0)
 
 
 def ne_residual(x: np.ndarray, game: GameModel):
@@ -61,5 +67,7 @@ def ne_residual(x: np.ndarray, game: GameModel):
     at active bounds, while interior coordinates need F_i(x) = 0.
     """
     x = np.asarray(x, dtype=float)
-    gap = np.max(np.abs(x - game.action_box.project(x - game.pseudo_gradient(x))), axis=-1)
+    # np.max's own reduction, without its Python layers
+    gap = np.maximum.reduce(np.abs(x - game.action_box.project(x - game.pseudo_gradient(x))),
+                             axis=-1)
     return float(gap) if x.ndim == 1 else gap

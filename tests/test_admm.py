@@ -62,6 +62,17 @@ def test_config_beta_vector():
         AdmmConfig(beta=[1.0, 2.0]).beta_vector(3)
 
 
+@pytest.mark.parametrize("c, beta", [(1e308, 1.0), (0.6e308, 1.0), (1e307, 1.7e308)],
+                         ids=["2c-overflows", "2c-deg-overflows", "alpha-overflows"])
+def test_run_rejects_a_c_whose_step_weights_overflow(c, beta):
+    # on ring(4) every degree is 2: 2c = 1.2e308 is finite, 2c * 2 is not
+    game, graph = random_quadratic_game(4, seed=2), ring(4)
+    with pytest.raises(SettingError) as exc:
+        run(game, graph, AdmmConfig(c=c, beta=beta, max_iter=5))
+    assert (exc.value.field, exc.value.reason) == ("c", "must keep beta + 2c * degree finite")
+    assert run(game, graph, AdmmConfig(c=1e300, max_iter=5)).state.k == 5
+
+
 # ------------------------------------------------------------- init_state
 
 def test_init_state_broadcast():

@@ -18,6 +18,7 @@ from nashadmm import (
     run_baseline,
 )
 from nashadmm.baseline import _baseline_plan
+from nashadmm.loop import SettingError
 
 from oracles import neighbor_sums_loop
 
@@ -207,3 +208,11 @@ def test_compare_rejects_a_bad_beta_before_sweeping():
     base = BaselineConfig(sweep=(0.1,), max_iter=10**9)  # a sweep that would not end soon
     with pytest.raises(ValueError, match="beta has 2 entries for 5 players"):
         compare(game, ring(5), AdmmConfig(beta=(1.0, 2.0)), base, tol=1e-30)
+
+
+def test_compare_rejects_an_overflowing_c_before_sweeping():
+    game = random_quadratic_game(5, seed=11)
+    base = BaselineConfig(sweep=(0.1,), max_iter=10**9)
+    with pytest.raises(SettingError) as exc:
+        compare(game, ring(5), AdmmConfig(c=1e308), base, tol=1e-30)
+    assert exc.value.field == "c"

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nashadmm import IterationRecord, cli, random_quadratic_game
+from nashadmm import IterationRecord, cli, default_wanet_instance, random_quadratic_game
 
 
 QUAD = {
@@ -401,6 +402,16 @@ def test_size_mismatch_builds_no_graph(tmp_path, capsys, monkeypatch, command, g
 CAP = 20
 MUTATIONS = [None, True, "x", [], {}, [None], -1, 0.5, float("inf"), float("nan")]
 
+# the default routes with one link index far past any memory; capacities for 16 links
+HUGE_ROUTES = [list(r) for r in default_wanet_instance(7)[0].routes]
+HUGE_ROUTES[0][0] = 10**15
+# finite magnitudes the gate must reject before anything is sized or stepped by them:
+# (dotted key, value, the path the one error line names)
+PROBES = [
+    ("game", {"type": "wanet", "routes": HUGE_ROUTES, "capacities": [10.0] * 16}, "game"),
+    ("admm.c", 1e308, "admm.c"),
+]
+
 
 def _dotted_keys(cfg: dict, prefix: str = ""):
     for k, v in cfg.items():
@@ -413,7 +424,10 @@ def _dotted_keys(cfg: dict, prefix: str = ""):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["run", "check", "compare"]),
        st.lists(st.tuples(st.sampled_from(list(_dotted_keys(cli.DEFAULT_CONFIG))),
-                          st.sampled_from(MUTATIONS)), min_size=1, max_size=2))
+                          st.sampled_from(MUTATIONS))
+                | st.sampled_from([(key, value) for key, value, _ in PROBES]
+                                  + [("game", {"type": "wanet", "routes": HUGE_ROUTES})]),
+                min_size=1, max_size=2))
 def test_mutated_default_config_never_raises(tmp_path, capsys, monkeypatch, command, mutations):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
@@ -431,6 +445,47 @@ def test_mutated_default_config_never_raises(tmp_path, capsys, monkeypatch, comm
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert rc != 1 or err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "check"])
+@pytest.mark.parametrize("key, value, path", PROBES, ids=["routes-capacities", "c"])
+def test_magnitude_probe_is_one_error_line(tmp_path, capsys, monkeypatch, command, key, value,
+                                           path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    _set(cfg, key, value)
+    rc = cli.main([command, write_cfg(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "check"])
+def test_routes_without_capacities_size_nothing_by_a_link_index(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    """Without capacities, link 10^15 runs as it would as link 16 of 17 links of
+    capacity 10: a link no route uses adds only exact zeros."""
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    oracle_routes = copy.deepcopy(HUGE_ROUTES)
+    oracle_routes[0][0] = 16
+    outputs = []
+    for name, game in (("huge", {"type": "wanet", "routes": HUGE_ROUTES}),
+                       ("oracle", {"type": "wanet", "routes": oracle_routes,
+                                   "capacities": [10.0] * 17})):
+        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg["game"] = game
+        cfg["admm"]["max_iter"] = cfg["baseline"]["max_iter"] = 300
+        out = tmp_path / name
+        where = [] if command == "check" else ["--output-dir", str(out)]
+        rc = cli.main([command, write_cfg(tmp_path, cfg)] + where)
+        captured = capsys.readouterr()
+        assert rc in (0, 2) and captured.err == ""  # 2: run's iteration budget
+        traces = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        outputs.append((rc, captured.out.replace(str(out), "OUT"), traces))
+    assert outputs[0] == outputs[1]
+    assert command == "check" or outputs[0][2]
 
 
 def test_unknown_graph_type(tmp_path, capsys):
@@ -634,3 +689,49 @@ def test_print_default_config_round_trips(tmp_path, capsys):
     assert out.endswith("sigma_f_source=none\n")
     for key in ("sigma_f", "condition_satisfied", "margin"):
         assert key not in report
+
+
+# ------------------------------------------------------- default outputs, pinned
+
+# sha256 of the traces `run` and `compare` write for DEFAULT_CONFIG. The default
+# wanet instance has at most two users per link, so no load sum depends on the
+# BLAS kernel's order: it hashes the same under every OpenBLAS core type tried.
+DEFAULT_TRACE_SHA256 = {
+    "trace.csv": "058193a16d24037e21ed8fe92216b14fd1076fd574c2e639477dc0d5b3b59d55",
+    "trace_admm.csv": "9871c3b37e330c7a48bb2316517d583254511891bb6f311e8878aca558358783",
+    "trace_baseline.csv": "fcb2b816aa0c595adf5b2f8e102a2361a0b257d07aacd178a9ad2cc86d52653f",
+}
+DEFAULT_RUN_STDOUT = """game=wanet
+players=15
+reason=converged
+iterations=2978
+consensus_error=2.6986919365867834e-09
+ne_residual=9.982802025021442e-07
+guard_activations=0
+trace=OUT/trace.csv
+"""
+DEFAULT_COMPARE_STDOUT = """tol=0.0001
+admm_reason=converged
+admm_iterations=2004
+baseline_reason=converged
+baseline_iterations=4723
+baseline_gamma=0.02
+ratio=2.3567864271457086
+trace_admm=OUT/trace_admm.csv
+trace_baseline=OUT/trace_baseline.csv
+sweep gamma=0.2 reason=converged iterations=4828
+sweep gamma=0.1 reason=converged iterations=4853
+sweep gamma=0.05 reason=converged iterations=4862
+sweep gamma=0.02 reason=converged iterations=4723
+sweep gamma=0.01 reason=iteration budget iterations=none
+"""
+
+
+def test_default_outputs_keep_their_bytes(tmp_path, capsys):
+    cfgp, out = write_cfg(tmp_path, cli.DEFAULT_CONFIG), tmp_path / "out"
+    for command, stdout in (("run", DEFAULT_RUN_STDOUT), ("compare", DEFAULT_COMPARE_STDOUT)):
+        rc = cli.main([command, cfgp, "--output-dir", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.replace(str(out), "OUT") == stdout
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in DEFAULT_TRACE_SHA256} == DEFAULT_TRACE_SHA256

@@ -249,6 +249,80 @@ def test_stacked_gradients_bitwise(game, lo, hi):
         assert guards.sum() > 0
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_wanet_pseudo_gradient_is_the_rows_path_bit_for_bit(seed):
+    """One load evaluation per profile gives what n copies of it give: no link
+    of a default instance has more than two users, so no sum order can differ."""
+    game, _ = default_wanet_instance(seed)
+    n = game.n_players
+    rng = np.random.default_rng(seed)
+    profiles = rng.uniform(0.0, 10.0, size=(5, n)) * np.array([[1.0], [1.0], [0.3], [0.05], [0]])
+    profiles[rng.random(profiles.shape) < 0.2] = -0.0
+    rows = GameModel.pseudo_gradient(game, profiles)
+    assert game.pseudo_gradient(profiles).tobytes() == rows.tobytes()
+    for x, expected in zip(profiles, rows):
+        assert game.pseudo_gradient(x).tobytes() == expected.tobytes()
+    assert game.guard_activations(profiles[:2, None, :].repeat(n, axis=1)).sum() > 0
+
+
+def test_wanet_pseudo_gradient_near_the_rows_path_where_three_share_a_link():
+    """With 3 or more users on a link the two load sums may round differently,
+    as they do for a few of these profiles under OpenBLAS's AVX-512 kernels.
+    Bound: a load of m_j terms differs by at most 2 m_j eps load_j between the
+    two orders; propagated through d(kappa / den^2) = 2 kappa / den^3 per route
+    link, plus 4 eps times the magnitudes summed for the rest of the arithmetic."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    for _ in range(600):
+        n, links = int(rng.integers(4, 9)), int(rng.integers(2, 6))
+        routes = [set(rng.integers(0, links, size=int(rng.integers(1, links + 1))).tolist())
+                  for _ in range(n)]
+        routes = [sorted(r | {0}) if i < 3 else sorted(r) for i, r in enumerate(routes)]
+        game = WanetGame(np.full(links, 10.0), routes, kappa=1.0, chi=10.0)
+        x = rng.uniform(0.0, 10.0, size=n) * rng.choice([1.0, 0.3, 0.1])
+        fast, rows = game.pseudo_gradient(x), GameModel.pseudo_gradient(game, x)
+        on_route = np.array([[j in r for r in game.routes] for j in range(links)])
+        m, load = on_route.sum(axis=1), on_route @ x
+        den = np.maximum(game.capacities - load, game.eps_guard)
+        slope = 2.0 * game.kappa / den**3 * (2.0 * m * eps * load)
+        magnitude = game.kappa / den**2
+        bound = (on_route * slope[:, None]).sum(axis=0) \
+            + 4.0 * eps * ((on_route * magnitude[:, None]).sum(axis=0) + game.chi / (x + 1.0))
+        assert np.all(np.abs(fast - rows) <= bound)
+
+
+def _guard_count_oracle(game, X):
+    """Clamped route terms over all players, one player and one link at a time.
+    A load is a dot product with the link's 0/1 usage row, so a NaN anywhere in
+    a player's row makes every load of that row NaN, and NaN is never clamped."""
+    count = 0
+    for i, x in enumerate(X):
+        for j in game.routes[i]:
+            load = sum(x[k] * (j in game.routes[k]) for k in range(game.n_players))
+            count += bool(game.capacities[j] - load < game.eps_guard)
+    return count
+
+
+def test_wanet_guard_count_where_links_are_oversubscribed_or_nan():
+    game, _ = default_wanet_instance(7)
+    n = game.n_players
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 10.0, size=(3, n, n))
+    X[1] *= 0.05  # nothing clamped
+    X[2, 4, 7] = np.nan  # row 4 has no clamped term left
+    counts = game.guard_activations(X)
+    expected = [_guard_count_oracle(game, M) for M in X]
+    assert counts.tolist() == expected and expected[0] > 0 and expected[1] == 0
+    assert [game.guard_activations(M) for M in X] == expected
+    nan_profile = np.full((n, n), np.nan)
+    assert game.guard_activations(nan_profile) == 0 == _guard_count_oracle(game, nan_profile)
+    # a residual capacity at the guard is not clamped, one just below it is (all exact)
+    edge = WanetGame([1.0], [[0], [0]], eps_guard=2.0**-20)
+    for gap, count in ((2.0**-20, 0), (2.0**-21, 2)):
+        X = np.array([[0.25, 0.75 - gap]] * 2)
+        assert edge.guard_activations(X) == count == _guard_count_oracle(edge, X)
+
+
 def test_wanet_validation():
     with pytest.raises(ValueError):
         WanetGame([0.0], [[0]])

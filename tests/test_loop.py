@@ -1,5 +1,7 @@
 """What the loop may skip or reuse cannot be seen from outside: the consensus
-error is computed only where it is read, and a result holds its own arrays."""
+error is computed only where it is read, the wanet link loads behind the
+gradients are not evaluated per player for the residual, and a result holds
+its own arrays."""
 
 import itertools
 from dataclasses import replace
@@ -11,6 +13,7 @@ import nashadmm.loop as loop
 from nashadmm import (
     AdmmConfig,
     BaselineConfig,
+    WanetGame,
     default_wanet_instance,
     random_quadratic_game,
     ring,
@@ -70,6 +73,22 @@ def test_consensus_error_runs_only_where_it_is_read(monkeypatch):
     recorded = {*range(0, end + 1, cfg.record_every), end}
     assert len(close) == 99 and len(recorded) == 7
     assert calls == sorted(close | recorded)
+
+
+def test_wanet_run_evaluates_own_gradients_once_per_step(monkeypatch):
+    """ne_residual takes one load evaluation per profile, not the n-row gradients."""
+    game, graph = default_wanet_instance(7)
+    own_gradients, calls = WanetGame.own_gradients, []
+
+    def counted(self, X):
+        calls.append(X.shape)
+        return own_gradients(self, X)
+
+    monkeypatch.setattr(WanetGame, "own_gradients", counted)
+    steps = 40
+    res = run(game, graph, AdmmConfig(max_iter=steps, tol_consensus=1e-300, tol_residual=1e-300))
+    assert (res.reason, res.state.k) == ("iteration budget", steps)
+    assert calls == [(1, 15, 15)] * steps  # the steps' own calls, and no other
 
 
 def test_sweep_results_share_no_memory():

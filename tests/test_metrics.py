@@ -63,6 +63,29 @@ def test_consensus_error_permutation_invariant():
         assert math.isclose(consensus_error(X, g), consensus_error(Xp, gp), rel_tol=1e-12)
 
 
+def _consensus_oracle(X, graph):
+    """max over edges of max |x^i - x^j|, one edge at a time (NaN if any is NaN)."""
+    peaks = [np.max(np.abs(X[..., i, :] - X[..., j, :]), axis=-1) for i, j in sorted(graph.edges)]
+    return np.max(peaks, axis=0)
+
+
+@pytest.mark.parametrize("graph, stack", [
+    (path(1100), ()),  # 1099 edges of 1100 differences: two blocks of 953 edges
+    (path(2), (3,)), (ring(5), (2, 2)), (random_connected_graph(9, 6, 1), ()),
+    (random_connected_graph(12, 20, 2), (4,)),
+], ids=["path1100", "path2", "ring5", "random9", "random12"])
+def test_consensus_error_is_the_edge_by_edge_maximum(graph, stack):
+    rng = np.random.default_rng(graph.n)
+    X = rng.normal(size=(*stack, graph.n, graph.n))
+    X[..., -1, 0] = 50.0  # the peak is on the edges of the last node: on path(1100), block 2
+    if stack:
+        X[(0,) * len(stack)] = X[(0,) * len(stack) + (0,)]  # a member at consensus
+        X[(-1,) * len(stack) + (1, 0)] = np.nan
+    ce = consensus_error(X, graph)
+    assert np.array_equal(ce, _consensus_oracle(X, graph), equal_nan=True)
+    assert (type(ce) is float) if not stack else ce.shape == stack
+
+
 def test_metrics_of_a_stack_are_those_of_each_member():
     g, graph = random_quadratic_game(6, seed=2), random_connected_graph(6, 2, 5)
     rng = np.random.default_rng(6)
