@@ -36,7 +36,8 @@ class BaselineConfig(StopRule):
         super().__post_init__()
         sweep = tuple(float(g) for g in self.sweep)
         _check(len(sweep) > 0, "sweep", "must list at least one step size")
-        _check(all(g > 0 for g in sweep), "sweep", "step sizes must be positive")
+        _check(all(0 < g < np.inf for g in sweep), "sweep",
+               "step sizes must be positive and finite")
         object.__setattr__(self, "sweep", sweep)
 
 

@@ -231,63 +231,63 @@ class WanetGame(GameModel):
             raise ValueError("kappa and eps_guard must be positive")
         if self.chi.shape != (self.n_players,) or np.any(self.chi < 0):
             raise ValueError("chi must be a nonnegative scalar or per-user vector")
+        users = [[] for _ in range(self.n_links)]  # link j's users, ascending
         for i, r in enumerate(self.routes):
             if not r:
                 raise ValueError(f"route of user {i} is empty")
             if r[0] < 0 or r[-1] >= self.n_links:
                 raise ValueError(f"route of user {i} references an invalid link")
+            for j in r:
+                users[j].append(i)
 
         self.action_box = action_box or ActionBox.cube(self.n_players, 0.0, 10.0)
         if self.action_box.n != self.n_players:
             raise ValueError("action box size disagrees with user count")
 
-        # usage[j, i] = 1 iff link j lies on user i's path
-        usage = np.zeros((self.n_links, self.n_players))
-        for i, r in enumerate(self.routes):
-            usage[list(r), i] = 1.0
-        self._usage = usage
-        self._on_route = usage > 0
+        # route entries (user i, link j), user by user in link order; an entry's
+        # load adds link j's flows in user order, from x[users] or X.flat[rows]
+        entries = [(i, j) for i, r in enumerate(self.routes) for j in r]
+        self._users = np.array([u for _, j in entries for u in users[j]])
+        self._rows = np.array([i * self.n_players + u for i, j in entries for u in users[j]])
+        self._starts = np.cumsum([0] + [len(users[j]) for _, j in entries[:-1]])
+        self._entry_caps = self.capacities[[j for _, j in entries]]
+        lengths = np.array([len(r) for r in self.routes])
+        depth = np.arange(lengths.max(initial=0))[:, None]
+        self._filled = depth < lengths
+        self._entries = np.where(self._filled, np.cumsum(lengths) - lengths + depth, 0)
 
-    def residual_capacities(self, x: np.ndarray) -> np.ndarray:
-        """Unguarded C_j - load_j per link: on axis 0 at a profile x, on axis -2 at rows of x."""
-        x = np.asarray(x, dtype=float)
-        loads = self._usage @ (x if x.ndim == 1 else x.swapaxes(-1, -2))
-        return (self.capacities if x.ndim == 1 else self.capacities[:, None]) - loads
+    def _residuals(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Unguarded C_j - load_j per route entry, x a profile or rows flattened to n * n."""
+        return self._entry_caps - np.add.reduceat(x.take(index, axis=-1), self._starts, axis=-1)
+
+    def _prices(self, residual: np.ndarray) -> np.ndarray:
+        """User i: kappa / den^2 summed over column i of `_entries`, user i's entries
+        in link order (den the guarded residual; `_filled` masks the padding)."""
+        terms = self.kappa / np.maximum(residual, self.eps_guard)**2
+        return np.where(self._filled, terms.take(self._entries, axis=-1), 0.0).sum(axis=-2)
 
     def cost(self, i: int, x: np.ndarray) -> float:
         self._check_index(i)
         x = np.asarray(x, dtype=float)
-        den = np.maximum(self.residual_capacities(x)[self._on_route[:, i]], self.eps_guard)
+        route = self._entries[:len(self.routes[i]), i]
+        den = np.maximum(self._residuals(x, self._users)[route], self.eps_guard)
         return float(np.sum(self.kappa / den) - self.chi[i] * np.log(x[i] + 1.0))
-
-    def _prices(self, residual: np.ndarray) -> np.ndarray:
-        """Column i: the sum over user i's links of kappa / den^2, den the guarded
-        residual capacity; residual is (..., links, rows), or (..., links, 1) for
-        one profile shared by every user."""
-        den = np.maximum(residual, self.eps_guard)
-        # off-route terms are exactly 0.0, and this C-ordered (..., links, rows)
-        # array sums along the links axis in ascending link order, so column i
-        # sums as user i's route terms alone would
-        return np.where(self._on_route, self.kappa / den**2, 0.0).sum(axis=-2)
 
     def own_gradients(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return self._prices(self.residual_capacities(X)) - self.chi / (X.diagonal(0, -2, -1) + 1.0)
+        residual = self._residuals(X.reshape(*X.shape[:-2], -1), self._rows)
+        return self._prices(residual) - self.chi / (X.diagonal(0, -2, -1) + 1.0)
 
     def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        """F(x), each profile's link loads evaluated once rather than once per user.
-        A load is then a matrix-vector sum, not a column of a matrix product over
-        n copies of x, and may add its terms in another order: the two agree bit
-        for bit wherever at most two users share a link, and to rounding elsewhere."""
+        """F(x), its loads gathered from the profile, not n copies: the same bytes."""
         x = np.asarray(x, dtype=float)
-        return self._prices(self.residual_capacities(x[..., None, :])) - self.chi / (x + 1.0)
+        return self._prices(self._residuals(x, self._users)) - self.chi / (x + 1.0)
 
     def guard_activations(self, X: np.ndarray):
-        residual = self.residual_capacities(X)
-        if residual.min(initial=np.inf) >= self.eps_guard:  # nothing clamped (NaN counts below)
-            return 0 if np.ndim(X) == 2 else np.zeros(np.shape(X)[:-2], dtype=int)
-        counts = ((residual < self.eps_guard) & self._on_route).sum(axis=(-2, -1))
-        return int(counts) if np.ndim(X) == 2 else counts
+        X = np.asarray(X, dtype=float)
+        residual = self._residuals(X.reshape(*X.shape[:-2], -1), self._rows)
+        counts = (residual < self.eps_guard).sum(axis=-1)  # NaN is never clamped
+        return int(counts) if X.ndim == 2 else counts
 
 
 def default_wanet_instance(seed: int) -> tuple[WanetGame, CommGraph]:

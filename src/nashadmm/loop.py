@@ -104,6 +104,7 @@ def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
     return SolverState(X=X, W=np.zeros_like(X), k=0)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: CommGraph,
            stop: StopRule) -> list[RunResult]:
     """Step, measure, record and stop each member of a stack on its own.
@@ -112,9 +113,11 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     axis 0, and `step(X, W, live)` returns them all advanced, `live` giving each
     row's index in the original stack. The step may write into W and into
     arrays it returned before, so a result holds copies. A member whose step
-    produced a non-finite value stops as "diverged". A stopped member leaves
-    the stack; the others go on as if they ran alone, and each keeps its own
-    records. A record's `elapsed` is the whole stack's wall clock.
+    produced a non-finite value stops as "diverged"; floating-point warnings are
+    off, so an overflow ends silently, as a clipped step or as that stop. A
+    stopped member leaves the stack; the others go on as if they ran alone, and
+    each keeps its own records. A record's `elapsed` is the whole stack's wall
+    clock.
 
     ne_residual is computed for every member at every iteration. The consensus
     error is computed only where it is read: for the whole stack on a recorded

@@ -65,6 +65,14 @@ def charpoly_eigs(M) -> np.ndarray:
     return np.array(sorted(float(r.evalf(25)) for r in roots))
 
 
+def link_loads(game, x: np.ndarray) -> np.ndarray:
+    """Total flow on each link of a WanetGame at profile x, read off game.routes."""
+    loads = np.zeros(game.n_links)
+    for u, route in enumerate(game.routes):
+        loads[list(route)] += x[u]
+    return loads
+
+
 def random_graph_edges(n: int, extra_edges: int, seed: int) -> frozenset:
     """Edges of random_connected_graph(n, extra_edges, seed), built from a sorted
     list of every non-ring vertex pair: the ring plus the pairs rng.choice picks."""

@@ -41,6 +41,12 @@ def test_config_validation():
     assert BaselineConfig(sweep=[1, 0.5]).sweep == (1.0, 0.5)
 
 
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_config_rejects_a_non_finite_step_size(gamma):
+    with pytest.raises(SettingError, match="sweep step sizes must be positive and finite"):
+        BaselineConfig(sweep=(0.1, gamma))
+
+
 # ------------------------------------------------------------ the step
 # The step advances a stack of estimate matrices; each test steps a stack of one.
 

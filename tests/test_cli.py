@@ -462,6 +462,30 @@ def test_magnitude_probe_is_one_error_line(tmp_path, capsys, monkeypatch, comman
     assert "Traceback" not in captured.err
 
 
+# finite magnitudes that overflow inside a step rather than at the gate
+OVERFLOWS = [
+    ("compare", "baseline.sweep", [1e308]),
+    ("run", "game.eps_guard", 1e308),
+    ("compare", "game.eps_guard", 1e308),
+    ("run", "game.capacities", [1e308] * 16),
+]
+
+
+@pytest.mark.parametrize("command, key, value", OVERFLOWS,
+                         ids=["sweep-compare", "eps_guard-run", "eps_guard-compare",
+                              "capacities-run"])
+def test_overflow_in_a_step_prints_no_warning(tmp_path, capsys, monkeypatch, command, key,
+                                              value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["admm"]["max_iter"] = cfg["baseline"]["max_iter"] = 50
+    _set(cfg, key, value)
+    rc = cli.main([command, write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and "Warning" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "check"])
 def test_routes_without_capacities_size_nothing_by_a_link_index(tmp_path, capsys, monkeypatch,
                                                                  command):
