@@ -244,25 +244,25 @@ class WanetGame(GameModel):
         if self.action_box.n != self.n_players:
             raise ValueError("action box size disagrees with user count")
 
-        # route entries (user i, link j), user by user in link order; an entry's
-        # load adds link j's flows in user order, from x[users] or X.flat[rows]
-        entries = [(i, j) for i, r in enumerate(self.routes) for j in r]
-        self._users = np.array([u for _, j in entries for u in users[j]])
-        self._rows = np.array([i * self.n_players + u for i, j in entries for u in users[j]])
-        self._starts = np.cumsum([0] + [len(users[j]) for _, j in entries[:-1]])
-        self._entry_caps = self.capacities[[j for _, j in entries]]
+        # route entries (user i, link j) by user and link; a load adds its users in order
+        entries = [(i * self.n_players, users[j]) for i, r in enumerate(self.routes) for j in r]
+        self._users = np.array([u for _, us in entries for u in us])
+        self._rows = np.array([row + u for row, us in entries for u in us])
+        sizes = np.array([len(us) for _, us in entries])
+        self._starts = sizes.cumsum() - sizes
+        self._entry_caps = self.capacities[[j for r in self.routes for j in r]]
         lengths = np.array([len(r) for r in self.routes])
         depth = np.arange(lengths.max(initial=0))[:, None]
         self._filled = depth < lengths
-        self._entries = np.where(self._filled, np.cumsum(lengths) - lengths + depth, 0)
+        self._entries = np.where(self._filled, lengths.cumsum() - lengths + depth, 0)
 
     def _residuals(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Unguarded C_j - load_j per route entry, x a profile or rows flattened to n * n."""
+        """Unguarded C_j - load_j per route entry, of a profile (`_users`) or flat rows."""
         return self._entry_caps - np.add.reduceat(x.take(index, axis=-1), self._starts, axis=-1)
 
     def _prices(self, residual: np.ndarray) -> np.ndarray:
-        """User i: kappa / den^2 summed over column i of `_entries`, user i's entries
-        in link order (den the guarded residual; `_filled` masks the padding)."""
+        """User i: kappa / den^2 (den guarded) summed down column i of `_entries` in
+        link order; np.add.reduceat would add t0 + (t1 + t2) and change the bytes."""
         terms = self.kappa / np.maximum(residual, self.eps_guard)**2
         return np.where(self._filled, terms.take(self._entries, axis=-1), 0.0).sum(axis=-2)
 

@@ -113,11 +113,10 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     axis 0, and `step(X, W, live)` returns them all advanced, `live` giving each
     row's index in the original stack. The step may write into W and into
     arrays it returned before, so a result holds copies. A member whose step
-    produced a non-finite value stops as "diverged"; floating-point warnings are
-    off, so an overflow ends silently, as a clipped step or as that stop. A
-    stopped member leaves the stack; the others go on as if they ran alone, and
-    each keeps its own records. A record's `elapsed` is the whole stack's wall
-    clock.
+    produced a non-finite value stops as "diverged", with no floating-point
+    warning: an overflow ends as a clipped step or as that stop. A stopped
+    member leaves the stack; the others go on as if they ran alone, and each
+    keeps its own records. A record's `elapsed` is the whole stack's wall clock.
 
     ne_residual is computed for every member at every iteration. The consensus
     error is computed only where it is read: for the whole stack on a recorded
