@@ -246,12 +246,12 @@ class WanetGame(GameModel):
 
         # route entries (user i, link j) by user and link; a load adds its users in order
         entries = [(i * self.n_players, users[j]) for i, r in enumerate(self.routes) for j in r]
-        self._users = np.array([u for _, us in entries for u in us])
-        self._rows = np.array([row + u for row, us in entries for u in us])
-        sizes = np.array([len(us) for _, us in entries])
+        self._users = np.array([u for _, us in entries for u in us], dtype=int)
+        self._rows = np.array([row + u for row, us in entries for u in us], dtype=int)
+        sizes = np.array([len(us) for _, us in entries], dtype=int)
         self._starts = sizes.cumsum() - sizes
         self._entry_caps = self.capacities[[j for r in self.routes for j in r]]
-        lengths = np.array([len(r) for r in self.routes])
+        lengths = np.array([len(r) for r in self.routes], dtype=int)
         depth = np.arange(lengths.max(initial=0))[:, None]
         self._filled = depth < lengths
         self._entries = np.where(self._filled, lengths.cumsum() - lengths + depth, 0)

@@ -315,6 +315,13 @@ def test_wanet_guard_count_where_links_are_oversubscribed_or_nan():
         assert edge.guard_activations(X) == count == _guard_count_oracle(edge, X)
 
 
+def test_wanet_without_users_has_empty_gradients():
+    g = WanetGame([1.0], [])
+    assert g.own_gradients(np.zeros((0, 0))).shape == (0,)
+    assert g.pseudo_gradient(np.zeros(0)).shape == (0,)
+    assert g.guard_activations(np.zeros((0, 0))) == 0
+
+
 def test_wanet_validation():
     with pytest.raises(ValueError):
         WanetGame([0.0], [[0]])
