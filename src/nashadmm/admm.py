@@ -79,7 +79,9 @@ def _step_weights(cfg: AdmmConfig, graph: CommGraph):
 def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     """The step: one synchronous iteration of the compact per-player recursion
     on a stack of states, its per-run constants computed once and shared by
-    every member (so the step has no use for `live`).
+    every member (so the step has no use for `live`). It does not evaluate the
+    game: `grads` holds F_i(x^i) at the rows of X, from the loop's one
+    evaluation of this iteration.
 
     The step allocates no matrix once running. Per stack shape it holds four
     arrays of X's shape: the neighbor sums, the W increment, and two arrays
@@ -95,7 +97,7 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     3. own coordinate, with alpha_i = beta_i + 2 c |N_i|:
        x^i_i <- Proj_i[ ((beta_i + c |N_i|) x^i_i - w^i_i,new
                           - F_i(x^i) + c sum_j x^j_i) / alpha_i ],
-       consuming the *post-update* w^i and `game.own_gradients` at the old rows.
+       consuming the *post-update* w^i and the gradients at the old rows.
 
     The staggered w indices are what make this recursion match the explicit
     multiplier form step for step. The input gate has passed game and graph,
@@ -108,7 +110,7 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
 
     held = []  # S, T, A, B
 
-    def step(X: np.ndarray, W: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
+    def step(X: np.ndarray, W: np.ndarray, live, grads) -> tuple[np.ndarray, np.ndarray]:
         if not held or held[0].shape != X.shape:  # the first step, or members dropped
             held[:] = [np.empty(X.shape) for _ in range(4)]
         S, T, A, B = held
@@ -123,8 +125,7 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
         np.divide(S, deg_col, out=X_new)
         X_new -= np.divide(W, two_c_col, out=S)
         W += T
-        own_num = keep * X.diagonal(0, -2, -1) - W.diagonal(0, -2, -1) \
-            - game.own_gradients(X) + c_own_sums
+        own_num = keep * X.diagonal(0, -2, -1) - W.diagonal(0, -2, -1) - grads + c_own_sums
         # the projection writes through a view of each diagonal
         game.action_box.project(own_num / alpha, out=np.einsum("...ii->...i", X_new))
         return X_new, W

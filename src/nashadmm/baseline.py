@@ -43,7 +43,8 @@ class BaselineConfig(StopRule):
 
 def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     """The step on a stack of estimate matrices, member g stepping by gammas[g]:
-    averaging on the non-own coordinates, projected gradient on the own one.
+    averaging on the non-own coordinates, projected gradient on the own one,
+    along `grads`, the rows' own gradients from the loop's evaluation of X.
     It keeps no duals, so W passes through as None.
 
     Row i of the average is the mean of {x^j : j in N_i union {i}}. The mixing
@@ -53,10 +54,10 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     deg_plus_1 = graph.degrees().astype(float)[:, None] + 1.0
     gamma_col = np.asarray(gammas, dtype=float)[:, None]
 
-    def step(X: np.ndarray, W: None, live) -> tuple[np.ndarray, None]:
+    def step(X: np.ndarray, W: None, live, grads) -> tuple[np.ndarray, None]:
         S = graph.neighbor_sums(X)
         X_new = np.divide(np.add(S, X, out=S), deg_plus_1, out=S)
-        own = X.diagonal(0, -2, -1) - gamma_col[live] * game.own_gradients(X)
+        own = X.diagonal(0, -2, -1) - gamma_col[live] * grads
         # the projection writes through a view of each diagonal
         game.action_box.project(own, out=np.einsum("...ii->...i", X_new))
         return X_new, W

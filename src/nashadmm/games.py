@@ -75,6 +75,8 @@ class GameModel(abc.ABC):
     cost with respect to their own coordinate, at their own row. X may be a
     stack of such matrices, shaped (..., n, n); the result is then (..., n),
     each matrix's gradients exactly as a call on that matrix alone gives them.
+    The solvers read the game once per iteration, through `evaluate(X)`, whose
+    default needs only `own_gradients`.
     """
 
     n_players: int
@@ -92,10 +94,16 @@ class GameModel(abc.ABC):
         return self.own_gradients(np.broadcast_to(x[..., None, :], (
             *x.shape[:-1], self.n_players, x.shape[-1])))
 
-    def guard_activations(self, X: np.ndarray):
-        """Guarded cost terms clamped over all players, player i at row X[..., i, :]:
-        an int for one matrix, one count per matrix for a stack (0 if none)."""
-        return 0 if np.ndim(X) == 2 else np.zeros(np.shape(X)[:-2], dtype=int)
+    def evaluate(self, X: np.ndarray):
+        """All the solvers read of the game at estimate matrices X, in one call:
+        (own_gradients(X), the pseudo-gradient at each played profile diag(X),
+        the guarded cost terms clamped over all players, player i at row
+        X[..., i, :]). The count is an int for one matrix and one per matrix
+        for a stack; this default has no guards, so it is 0. A game may
+        override it to share work between the three, with the same bytes."""
+        X = np.asarray(X, dtype=float)
+        guards = 0 if X.ndim == 2 else np.zeros(X.shape[:-2], dtype=int)
+        return self.own_gradients(X), self.pseudo_gradient(X.diagonal(0, -2, -1).copy()), guards
 
     def _check_index(self, i: int):
         if not (0 <= i < self.n_players):
@@ -206,7 +214,7 @@ class WanetGame(GameModel):
     with load_j(x) the total flow of users whose path contains link j. A
     denominator falling below `eps_guard` is clamped there, which keeps cost
     and gradient total even when a profile transiently oversubscribes a link;
-    clamping events are counted by `guard_activations`.
+    clamping events are counted by `evaluate`.
     """
 
     def __init__(self, capacities, routes, kappa=1.0, chi=10.0,
@@ -250,6 +258,10 @@ class WanetGame(GameModel):
         self._rows = np.array([row + u for row, us in entries for u in us], dtype=int)
         sizes = np.array([len(us) for _, us in entries], dtype=int)
         self._starts = sizes.cumsum() - sizes
+        # the rows' entries, then the played profile's: X[u, u] is entry u * (n + 1)
+        # of X flattened to (..., n * n)
+        self._rows_and_diag = np.concatenate((self._rows, self._users * (self.n_players + 1)))
+        self._rows_and_diag_starts = np.concatenate((self._starts, self._starts + self._rows.size))
         self._entry_caps = self.capacities[[j for r in self.routes for j in r]]
         lengths = np.array([len(r) for r in self.routes], dtype=int)
         depth = np.arange(lengths.max(initial=0))[:, None]
@@ -283,11 +295,19 @@ class WanetGame(GameModel):
         x = np.asarray(x, dtype=float)
         return self._prices(self._residuals(x, self._users)) - self.chi / (x + 1.0)
 
-    def guard_activations(self, X: np.ndarray):
+    def evaluate(self, X: np.ndarray):
+        """The rows' loads and the played profiles' loads in one gather and one
+        np.add.reduceat, and all their prices in one `_prices` call; each part
+        adds as its own method does, so the bytes are the same."""
         X = np.asarray(X, dtype=float)
-        residual = self._residuals(X.reshape(*X.shape[:-2], -1), self._rows)
-        counts = (residual < self.eps_guard).sum(axis=-1)  # NaN is never clamped
-        return int(counts) if X.ndim == 2 else counts
+        flat = X.reshape(*X.shape[:-2], -1)
+        loads = np.add.reduceat(flat.take(self._rows_and_diag, axis=-1),
+                                self._rows_and_diag_starts, axis=-1)
+        residual = self._entry_caps - loads.reshape(*X.shape[:-2], 2, self._starts.size)
+        utility = self.chi / (X.diagonal(0, -2, -1) + 1.0)
+        grads = self._prices(residual) - utility[..., None, :]
+        counts = (residual[..., 0, :] < self.eps_guard).sum(axis=-1)  # NaN is never clamped
+        return grads[..., 0, :], grads[..., 1, :], int(counts) if X.ndim == 2 else counts
 
 
 def default_wanet_instance(seed: int) -> tuple[WanetGame, CommGraph]:

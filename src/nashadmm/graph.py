@@ -69,12 +69,17 @@ class CommGraph:
         return float(np.linalg.eigvalsh(self.d_plus_a())[0])
 
     @cached_property
-    def _slots(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(rows, cols) for each slot s >= 0: nodes of degree > s, their s-th neighbors."""
-        index = lambda l: _frozen(np.array(l, dtype=np.intp))
-        rows = [[i for i, l in enumerate(self._nbrs) if len(l) > s]
-                for s in range(max(1, *map(len, self._nbrs)))]
-        return tuple((index(r), index([self._nbrs[i][s] for i in r])) for s, r in enumerate(rows))
+    def _slots(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """(cols, mask) for each slot s >= 0: node i's s-th neighbor (i itself past
+        its degree), and None if every node has one, else an (n, 1) mask of those
+        that do."""
+        slots = []
+        for s in range(max(1, *map(len, self._nbrs))):
+            has = [len(l) > s for l in self._nbrs]
+            cols = [l[s] if h else i for i, (l, h) in enumerate(zip(self._nbrs, has))]
+            mask = None if all(has) else _frozen(np.array(has)[:, None])
+            slots.append((_frozen(np.array(cols, dtype=np.intp)), mask))
+        return tuple(slots)
 
     @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -94,27 +99,27 @@ class CommGraph:
         """Row i = sum of the rows X[..., j, :], j in N_i, added in ascending j
         (a fixed order, so repeated runs are bit-identical); X may be a stack.
 
-        The sums go into `out` if given. A gather of a full slot after the first
-        goes into `work` if given, so the two arrays make every slot of a regular
-        graph allocation-free; both have X's shape and neither may overlap X.
+        Slot s gathers every node's s-th neighbor row, the first into `out`
+        and the rest into `work` if given, so the two arrays make the sums
+        allocation-free; both have X's shape and neither may overlap X. Where a
+        node has fewer than s + 1 neighbors, the slot's row mask keeps its sum
+        as it was (+0.0 for a node of degree 0).
         """
         # mode="clip" writes straight into `out`; the default "raise" gathers
         # into a temporary first. Every index is in range, so nothing is clipped.
-        (rows, cols), *rest = self._slots
-        if rows.size == self.n:
-            S = X.take(cols, axis=-2, out=out, mode="clip")
-        else:
-            S = np.empty_like(X) if out is None else out
-            S.fill(0.0)  # degree-0 rows
-            S[..., rows, :] = X.take(cols, axis=-2)
+        (cols, mask), *rest = self._slots
+        S = X.take(cols, axis=-2, out=out, mode="clip")
+        if mask is not None:
+            np.copyto(S, 0.0, where=~mask)
         # A sum starts from +0.0, so all -0.0 neighbors sum to +0.0; adding +0.0
         # to the first term gives that sign and leaves every other value as it is.
         S += 0.0
-        for rows, cols in rest:
-            if rows.size == self.n:
-                S += X.take(cols, axis=-2, out=work, mode="clip")
+        for cols, mask in rest:
+            G = X.take(cols, axis=-2, out=work, mode="clip")
+            if mask is None:
+                S += G
             else:
-                S[..., rows, :] += X.take(cols, axis=-2)
+                np.add(S, G, out=S, where=mask)
         return S
 
     def d_plus_a(self) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .games import GameModel
 from .graph import CommGraph
-from .metrics import IterationRecord, consensus_error, ne_residual
+from .metrics import IterationRecord, _fixed_point_gap, consensus_error
 
 
 class SettingError(ValueError):
@@ -110,16 +110,20 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     """Step, measure, record and stop each member of a stack on its own.
 
     X and W (None for a solver without duals) hold one state per member on
-    axis 0, and `step(X, W, live)` returns them all advanced, `live` giving each
-    row's index in the original stack. The step may write into W and into
-    arrays it returned before, so a result holds copies. A member whose step
-    produced a non-finite value stops as "diverged", with no floating-point
-    warning: an overflow ends as a clipped step or as that stop. A stopped
-    member leaves the stack; the others go on as if they ran alone, and each
-    keeps its own records. A record's `elapsed` is the whole stack's wall clock.
+    axis 0, and `step(X, W, live, grads)` returns them all advanced, `live`
+    giving each row's index in the original stack and `grads` the rows' own
+    gradients at X. The step may write into W and into arrays it returned
+    before, so a result holds copies. A member whose step produced a
+    non-finite value stops as "diverged", with no floating-point warning: an
+    overflow ends as a clipped step or as that stop. A stopped member leaves
+    the stack; the others go on as if they ran alone, and each keeps its own
+    records. A record's `elapsed` is the whole stack's wall clock.
 
-    ne_residual is computed for every member at every iteration. The consensus
-    error is computed only where it is read: for the whole stack on a recorded
+    The game is evaluated once per iteration, for the whole stack
+    (`game.evaluate(X)`): the step's gradients, the equilibrium residual (the
+    gap of `ne_residual`, at the pseudo-gradient of the played profiles) and the
+    records' guard counts all come from that call. The consensus error is
+    computed only where it is read: for the whole stack on a recorded
     iteration, and for a member that is non-finite or whose residual is within
     its tolerance, since convergence needs both.
     """
@@ -128,10 +132,11 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     records, results = [[] for _ in live], [None] * len(live)
     while True:
         actions = X.diagonal(0, -2, -1)
-        nr = ne_residual(actions.copy(), game).tolist()
+        grads, pseudo, guards = game.evaluate(X)
+        nr, guards = _fixed_point_gap(actions, pseudo, game.action_box).tolist(), guards.tolist()
         recorded = k % stop.record_every == 0 or k >= stop.max_iter
         ce = consensus_error(X, graph).tolist() if recorded else [None] * len(live)
-        guards, done, elapsed = None, [], time.perf_counter() - t0
+        done, elapsed = [], time.perf_counter() - t0
         for g, m in enumerate(live):
             ok = finite[g]
             close = k > 0 and ok and nr[g] <= stop.tol_residual
@@ -140,8 +145,6 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
             converged = close and ce[g] <= stop.tol_consensus
             last = not ok or converged or k >= stop.max_iter
             if last or recorded:
-                if guards is None:
-                    guards = game.guard_activations(X).tolist()
                 records[m].append(IterationRecord(
                     k, actions[g].copy(), ce[g], nr[g], guards[g], elapsed))
             if last:
@@ -155,7 +158,8 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
         if done:
             rest = [g for g in range(len(live)) if g not in done]
             live, X, W = [live[g] for g in rest], X[rest], None if W is None else W[rest]
-        X, W = step(X, W, live)
+            grads = grads[rest]
+        X, W = step(X, W, live, grads)
         k += 1
         finite = np.isfinite(X).all(axis=(-2, -1))
         finite = (finite if W is None else finite & np.isfinite(W).all(axis=(-2, -1))).tolist()

@@ -67,7 +67,11 @@ def ne_residual(x: np.ndarray, game: GameModel):
     at active bounds, while interior coordinates need F_i(x) = 0.
     """
     x = np.asarray(x, dtype=float)
-    # np.max's own reduction, without its Python layers
-    gap = np.maximum.reduce(np.abs(x - game.action_box.project(x - game.pseudo_gradient(x))),
-                             axis=-1)
+    gap = _fixed_point_gap(x, game.pseudo_gradient(x), game.action_box)
     return float(gap) if x.ndim == 1 else gap
+
+
+def _fixed_point_gap(x: np.ndarray, F: np.ndarray, box) -> np.ndarray:
+    """||x - Proj_box(x - F)||_inf along the last axis, F the pseudo-gradient at x."""
+    # np.max's own reduction, without its Python layers
+    return np.maximum.reduce(np.abs(x - box.project(x - F)), axis=-1)

@@ -63,7 +63,7 @@ def wanet_forms(wanet_default):
     dev200 = 0.0
     identity_max = 0.0
     for k in range(1, 1001):
-        X, W = step(X, W, [0])
+        X, W = step(X, W, [0], game.own_gradients(X))
         ds = unsimplified_step(ds, game, graph, cfg)
         if k <= 200:
             dev200 = max(dev200, float(np.max(np.abs(X[0] - ds.X))))
@@ -77,7 +77,7 @@ def _w_colsum_worst(game, graph, iters, stop_tol=None):
     X, W = s.X[None], s.W[None]
     worst = float(np.max(np.abs(W[0].sum(axis=0))))
     for _ in range(iters):
-        X, W = step(X, W, [0])
+        X, W = step(X, W, [0], game.own_gradients(X))
         worst = max(worst, float(np.max(np.abs(W[0].sum(axis=0)))))
         if stop_tol is not None:
             if (consensus_error(X[0], graph) <= stop_tol[0]
@@ -124,7 +124,7 @@ def test_criterion_02_form_equivalence(wanet_forms):
         X, W = s.X[None], s.W[None]
         ds = init_dual_state(game, graph)
         for _ in range(200):
-            X, W = step(X, W, [0])
+            X, W = step(X, W, [0], game.own_gradients(X))
             ds = unsimplified_step(ds, game, graph, cfg)
             assert np.max(np.abs(X[0] - ds.X)) <= 1e-9
             assert np.max(np.abs(W[0] - dual_w_matrix(ds, graph))) <= 1e-9

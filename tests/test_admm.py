@@ -139,7 +139,7 @@ def test_step_fixed_point_at_consensus_ne():
     g = QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0], ActionBox.cube(2, -1, 1))
     gr = path(2)
     s = init_state(g, gr)
-    X, W = _admm_plan(g, gr, AdmmConfig())(s.X[None], s.W[None], [0])
+    X, W = _admm_plan(g, gr, AdmmConfig())(s.X[None], s.W[None], [0], g.own_gradients(s.X))
     assert np.all(X == 0.0) and np.all(W == 0.0)
 
 
@@ -149,14 +149,16 @@ def test_step_consensus_rows_leave_w_unchanged():
     x = np.array([0.3, -0.2, 0.9, 0.1])
     s = init_state(g, gr, x)
     W0 = np.arange(16.0).reshape(1, 4, 4) / 10.0
-    _, W = _admm_plan(g, gr, AdmmConfig(c=1.25))(s.X[None], W0.copy(), [0])
+    step = _admm_plan(g, gr, AdmmConfig(c=1.25))
+    _, W = step(s.X[None], W0.copy(), [0], g.own_gradients(s.X))
     assert np.array_equal(W, W0)
 
 
 def test_step_hand_computed_two_player():
     g, gr = make_pair()
     s = init_state(g, gr)
-    (X,), W = _admm_plan(g, gr, AdmmConfig(c=1.0, beta=1.0))(s.X[None], s.W[None], [0])
+    (X,), W = _admm_plan(g, gr, AdmmConfig(c=1.0, beta=1.0))(
+        s.X[None], s.W[None], [0], g.own_gradients(s.X))
     # alpha = 3, proj[(2*0 - 0 - (-2) + 0)/3] = 2/3 on both diagonals
     assert X[0, 0] == 2.0 / 3.0 and X[1, 1] == 2.0 / 3.0
     assert np.all(W == 0.0)
@@ -170,7 +172,7 @@ def test_step_keeps_actions_in_box():
     s, step = init_state(g, gr), _admm_plan(g, gr, AdmmConfig())
     X, W = s.X[None], s.W[None]
     for _ in range(10):
-        X, W = step(X, W, [0])
+        X, W = step(X, W, [0], g.own_gradients(X))
         d = np.diagonal(X[0])
         assert np.all(d >= -1.0) and np.all(d <= 1.0)
     # gradients with opposite signs pin the two actions at opposite bounds
@@ -183,7 +185,7 @@ def test_w_column_sums_stay_near_zero():
     s, step = init_state(g, gr, np.linspace(-1, 1, 6)), _admm_plan(g, gr, AdmmConfig())
     X, W = s.X[None], s.W[None]
     for _ in range(300):
-        X, W = step(X, W, [0])
+        X, W = step(X, W, [0], g.own_gradients(X))
         assert np.max(np.abs(W[0].sum(axis=0))) <= 1e-9
 
 
@@ -195,11 +197,11 @@ def test_steady_state_step_allocates_no_matrix():
     tracemalloc.start()
     try:
         for _ in range(2):  # the plan takes its arrays on the first steps
-            X, W = step(X, W, [0])
+            X, W = step(X, W, [0], g.own_gradients(X))
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         for _ in range(10):
-            X, W = step(X, W, [0])
+            X, W = step(X, W, [0], g.own_gradients(X))
         grown = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -233,6 +235,39 @@ def test_second_solve_takes_almost_no_page_faults():
     assert float(proc.stdout) < 5
 
 
+# The peak resident set in KB. ru_maxrss would also carry the peak of the
+# process that started this one (the test runner), which hides a few MB here;
+# VmHWM belongs to this process image alone.
+_PEAK_GROWTH = """
+import gc
+gc.disable()  # what a reference cycle holds stays held, however short the solve
+from nashadmm import AdmmConfig, random_quadratic_game, ring, run
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+game, graph = random_quadratic_game(200, 0), ring(200)
+cfg = AdmmConfig(max_iter=100, record_every=100, tol_consensus=1e-30, tol_residual=1e-30)
+run(game, graph, cfg)
+before = peak()
+for _ in range(3):
+    run(game, graph, cfg)
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read on Linux")
+def test_back_to_back_solves_keep_peak_memory_flat():
+    """A finished solve leaves nothing behind: a plan caught in a reference
+    cycle would hold its four n-by-n arrays (1.25 MB at n = 200) until the
+    garbage collector runs, and each solve would raise the peak by that."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 640  # KB: half of one plan's arrays, over three solves
+
+
 # ------------------------------------------------------- unsimplified form
 
 def test_dual_identity_exact():
@@ -263,7 +298,7 @@ def test_forms_agree_and_w_reconstructs():
     X, W = s.X[None], s.W[None]
     ds = init_dual_state(g, gr, np.linspace(-1, 1, 5))
     for k in range(200):
-        X, W = step(X, W, [0])
+        X, W = step(X, W, [0], g.own_gradients(X))
         ds = unsimplified_step(ds, g, gr, cfg)
         assert np.max(np.abs(X[0] - ds.X)) <= 1e-9
         assert np.max(np.abs(W[0] - dual_w_matrix(ds, gr))) <= 1e-9

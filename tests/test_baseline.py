@@ -51,7 +51,8 @@ def test_config_rejects_a_non_finite_step_size(gamma):
 # The step advances a stack of estimate matrices; each test steps a stack of one.
 
 def step_once(X, game, graph, gamma):
-    (X_new,), _ = _baseline_plan(game, graph, (gamma,))(X[None], None, [0])
+    step = _baseline_plan(game, graph, (gamma,))
+    (X_new,), _ = step(X[None], None, [0], game.own_gradients(X[None]))
     return X_new
 
 

@@ -401,6 +401,18 @@ def test_size_mismatch_builds_no_graph(tmp_path, capsys, monkeypatch, command, g
 
 CAP = 20
 MUTATIONS = [None, True, "x", [], {}, [None], -1, 0.5, float("inf"), float("nan")]
+# finite extremes: the largest double either way, the smallest, a negative zero
+# and an integer past int64
+EXTREMES = [1e308, -1e308, 5e-324, -0.0, 2**63]
+# lists of the default config written out, so that one entry of them can change
+LISTS = {
+    "game.routes": [list(r) for r in default_wanet_instance(7)[0].routes],
+    "baseline.sweep": list(cli.DEFAULT_CONFIG["baseline"]["sweep"]),
+    "admm.beta": [1.0] * 15,
+}
+# An iteration budget is taken at its word: a sweep member that never converges
+# would step 2^63 times, so the budgets keep the cap against huge values.
+BUDGETS = {"admm.max_iter", "baseline.max_iter"}
 
 # the default routes with one link index far past any memory; capacities for 16 links
 HUGE_ROUTES = [list(r) for r in default_wanet_instance(7)[0].routes]
@@ -420,11 +432,29 @@ def _dotted_keys(cfg: dict, prefix: str = ""):
             yield from _dotted_keys(v, prefix + k + ".")
 
 
-@settings(max_examples=100, deadline=None,
+def _set_entry(cfg: dict, dotted: str, index: tuple, value) -> None:
+    """Write out the default list at dotted and set one entry of it, each index
+    taken modulo its level's length."""
+    entries = copy.deepcopy(LISTS[dotted])
+    node, *inner = entries, *index[:1 if dotted == "game.routes" else 0]
+    for i in inner:
+        node = node[i % len(node)]
+    node[index[-1] % len(node)] = value
+    _set(cfg, dotted, entries)
+
+
+_VALUES = MUTATIONS + EXTREMES
+_WHOLE = st.tuples(st.sampled_from(list(_dotted_keys(cli.DEFAULT_CONFIG))),
+                   st.sampled_from(_VALUES)).filter(
+    lambda m: not (m[0] in BUDGETS and m[1] in (1e308, 2**63)))
+_ENTRY = st.tuples(st.sampled_from(sorted(LISTS)),
+                   st.tuples(st.integers(0, 14), st.integers(0, 2)), st.sampled_from(_VALUES))
+
+
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["run", "check", "compare"]),
-       st.lists(st.tuples(st.sampled_from(list(_dotted_keys(cli.DEFAULT_CONFIG))),
-                          st.sampled_from(MUTATIONS))
+       st.lists(_WHOLE | _ENTRY
                 | st.sampled_from([(key, value) for key, value, _ in PROBES]
                                   + [("game", {"type": "wanet", "routes": HUGE_ROUTES})]),
                 min_size=1, max_size=2))
@@ -433,9 +463,12 @@ def test_mutated_default_config_never_raises(tmp_path, capsys, monkeypatch, comm
     monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
     cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
     cfg["admm"]["max_iter"] = cfg["baseline"]["max_iter"] = CAP
-    for key, value in mutations:
+    for key, *where, value in mutations:
         try:
-            _set(cfg, key, copy.deepcopy(value))
+            if where:
+                _set_entry(cfg, key, where[0], copy.deepcopy(value))
+            else:
+                _set(cfg, key, copy.deepcopy(value))
         except TypeError:
             pass  # an earlier mutation replaced the enclosing block
     for block in ("admm", "baseline"):  # keep the cap when a mutation empties a solver block
@@ -445,6 +478,7 @@ def test_mutated_default_config_never_raises(tmp_path, capsys, monkeypatch, comm
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert rc != 1 or err.startswith("error: ")
+    assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "check"])

@@ -207,21 +207,26 @@ def test_wanet_grad_matches_central_difference_at_ones(wanet_default):
         assert list(game.own_gradients(X)) == [_wanet_loop_grad(game, X[i], i) for i in range(n)]
 
 
+def _clamped(game, X):
+    """The guard count of one evaluation: an int for a matrix, an array for a stack."""
+    return game.evaluate(X)[2]
+
+
 def test_wanet_guard_keeps_cost_total():
     # two users oversubscribe a unit-capacity link
     g = WanetGame([1.0], [[0], [0]], kappa=1.0, chi=10.0, eps_guard=1e-6)
     x = np.array([0.6, 0.6])
     assert math.isclose(g.cost(0, x), 1e6 - 10 * math.log(1.6), rel_tol=1e-12)
-    assert g.guard_activations(np.array([x, x])) == 2
-    assert g.guard_activations(np.array([x, [0.1, 0.1]])) == 1
-    assert g.guard_activations(np.full((2, 2), 0.1)) == 0
+    assert _clamped(g, np.array([x, x])) == 2
+    assert _clamped(g, np.array([x, [0.1, 0.1]])) == 1
+    assert _clamped(g, np.full((2, 2), 0.1)) == 0
     # derivative taken at the clamped denominator value
     assert math.isclose(g.own_gradients(np.array([x, x]))[0], 1e12 - 10 / 1.6, rel_tol=1e-12)
     # rows 0 and 2 oversubscribe link 0, row 2 also link 1; only on-route
     # links count: user 0 (link 0) once, user 1 (links 0, 1) none, user 2 (link 1) once
     g3 = WanetGame([1.0, 1.0], [[0], [0, 1], [1]], kappa=1.0, chi=10.0, eps_guard=1e-6)
     X = np.array([[0.6, 0.6, 0.0], [0.1, 0.1, 0.1], [0.6, 0.6, 0.6]])
-    assert g3.guard_activations(X) == 2
+    assert _clamped(g3, X) == 2
 
 
 @pytest.mark.parametrize("game, lo, hi", [
@@ -235,16 +240,16 @@ def test_stacked_gradients_bitwise(game, lo, hi):
     X = rng.uniform(lo, hi, size=(2, 3, n, n))
     X[rng.random(X.shape) < 0.2] = -0.0
     # each matrix of the stack gives the bytes a call on that matrix alone gives
-    grads, guards = game.own_gradients(X), game.guard_activations(X)
+    grads, guards = game.own_gradients(X), _clamped(game, X)
     assert grads.shape == (2, 3, n) and guards.shape == (2, 3)
     profiles = X[:, :, 0, :]
     pseudo = game.pseudo_gradient(profiles)
     for a in range(2):
         for b in range(3):
             assert grads[a, b].tobytes() == game.own_gradients(X[a, b]).tobytes()
-            assert guards[a, b] == game.guard_activations(X[a, b])
+            assert guards[a, b] == _clamped(game, X[a, b])
             assert pseudo[a, b].tobytes() == game.pseudo_gradient(profiles[a, b]).tobytes()
-    assert type(game.guard_activations(X[0, 0])) is int
+    assert type(_clamped(game, X[0, 0])) is int
     if isinstance(game, WanetGame):  # loads up to 12 on capacity-10 links: guards fire
         assert guards.sum() > 0
 
@@ -262,24 +267,81 @@ def test_wanet_pseudo_gradient_is_the_rows_path_bit_for_bit(seed):
     assert game.pseudo_gradient(profiles).tobytes() == rows.tobytes()
     for x, expected in zip(profiles, rows):
         assert game.pseudo_gradient(x).tobytes() == expected.tobytes()
-    assert game.guard_activations(profiles[:2, None, :].repeat(n, axis=1)).sum() > 0
+    assert _clamped(game, profiles[:2, None, :].repeat(n, axis=1)).sum() > 0
 
 
-def test_wanet_pseudo_gradient_is_the_rows_path_where_three_share_a_link():
-    """With 3 or more users on a link a load's sum order matters; both paths add
-    a link's flows in the same order, so they still agree bit for bit."""
-    rng, stacks = np.random.default_rng(0), np.random.default_rng(1)
+def _three_sharer_games():
+    """600 random games in which users 0, 1 and 2 share link 0, each with a profile."""
+    rng = np.random.default_rng(0)
     for _ in range(600):
         n, links = int(rng.integers(4, 9)), int(rng.integers(2, 6))
         routes = [set(rng.integers(0, links, size=int(rng.integers(1, links + 1))).tolist())
                   for _ in range(n)]
         routes = [sorted(r | {0}) if i < 3 else sorted(r) for i, r in enumerate(routes)]
         game = WanetGame(np.full(links, 10.0), routes, kappa=1.0, chi=10.0)
-        x = rng.uniform(0.0, 10.0, size=n) * rng.choice([1.0, 0.3, 0.1])
+        yield game, rng.uniform(0.0, 10.0, size=n) * rng.choice([1.0, 0.3, 0.1])
+
+
+def test_wanet_pseudo_gradient_is_the_rows_path_where_three_share_a_link():
+    """With 3 or more users on a link a load's sum order matters; both paths add
+    a link's flows in the same order, so they still agree bit for bit."""
+    stacks = np.random.default_rng(1)
+    for game, x in _three_sharer_games():
+        n = game.n_players
         assert game.pseudo_gradient(x).tobytes() == GameModel.pseudo_gradient(game, x).tobytes()
         stack = stacks.uniform(0.0, 10.0, size=(2, 3, n)) * np.array([[[1.0]], [[0.3]]])
         assert game.pseudo_gradient(stack).tobytes() \
             == GameModel.pseudo_gradient(game, stack).tobytes()
+
+
+def _assert_evaluate_is_the_separate_calls(game, X):
+    """evaluate(X) gives the bytes of own_gradients(X), of GameModel's
+    pseudo_gradient at each diag(X) copied, and of the per-link guard count."""
+    grads, pseudo, guards = game.evaluate(X)
+    actions = X.diagonal(0, -2, -1).copy()
+    assert grads.tobytes() == game.own_gradients(X).tobytes()
+    assert pseudo.tobytes() == GameModel.pseudo_gradient(game, actions).tobytes()
+    assert pseudo.tobytes() == game.pseudo_gradient(actions).tobytes()
+    matrices = X.reshape(-1, *X.shape[-2:])
+    assert np.ravel(guards).tolist() == [_guard_count_oracle(game, M) for M in matrices]
+    if X.ndim == 2:
+        assert type(guards) is int
+    return guards
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_wanet_evaluate_is_the_separate_calls_bit_for_bit(seed):
+    """One gather for the rows and the played profiles, one price call for both:
+    the bytes of the three calls it replaces, with -0.0 entries, clamped terms
+    and a NaN off the diagonal."""
+    game, _ = default_wanet_instance(seed)
+    n = game.n_players
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 10.0, size=(4, n, n)) * np.array([1.0, 1.0, 0.3, 0.05])[:, None, None]
+    X[rng.random(X.shape) < 0.2] = -0.0
+    X[1, 4, 7] = np.nan
+    guards = _assert_evaluate_is_the_separate_calls(game, X)
+    assert guards[0] > 0 and guards[3] == 0
+    for M in X:
+        _assert_evaluate_is_the_separate_calls(game, M)
+
+
+def test_wanet_evaluate_is_the_separate_calls_where_three_share_a_link():
+    stacks = np.random.default_rng(2)
+    for game, x in _three_sharer_games():
+        n = game.n_players
+        X = stacks.uniform(0.0, 10.0, size=(2, n, n)) * np.array([[[1.0]], [[0.3]]])
+        np.einsum("ii->i", X[0])[:] = x  # the profile plays
+        _assert_evaluate_is_the_separate_calls(game, X)
+
+
+def test_evaluate_default_is_the_separate_calls():
+    game = random_quadratic_game(7, 2)
+    X = np.random.default_rng(2).uniform(-10.0, 10.0, size=(3, 7, 7))
+    grads, pseudo, guards = game.evaluate(X)
+    assert grads.tobytes() == game.own_gradients(X).tobytes()
+    assert pseudo.tobytes() == game.pseudo_gradient(X.diagonal(0, -2, -1).copy()).tobytes()
+    assert guards.tolist() == [0, 0, 0] and game.evaluate(X[0])[2] == 0
 
 
 def _guard_count_oracle(game, X):
@@ -301,25 +363,27 @@ def test_wanet_guard_count_where_links_are_oversubscribed_or_nan():
     X = rng.uniform(0.0, 10.0, size=(3, n, n))
     X[1] *= 0.05  # nothing clamped
     X[2, 4, 7] = np.nan  # user 7's one link, 0, is not on user 4's route (1, 13)
-    counts = game.guard_activations(X)
+    counts = _clamped(game, X)
     expected = [_guard_count_oracle(game, M) for M in X]
     assert counts.tolist() == expected and expected[0] > 0 and expected[1] == 0
     assert np.isfinite(game.own_gradients(X[2])).all()
-    assert [game.guard_activations(M) for M in X] == expected
+    assert [_clamped(game, M) for M in X] == expected
     nan_profile = np.full((n, n), np.nan)
-    assert game.guard_activations(nan_profile) == 0 == _guard_count_oracle(game, nan_profile)
+    assert _clamped(game, nan_profile) == 0 == _guard_count_oracle(game, nan_profile)
     # a residual capacity at the guard is not clamped, one just below it is (all exact)
     edge = WanetGame([1.0], [[0], [0]], eps_guard=2.0**-20)
     for gap, count in ((2.0**-20, 0), (2.0**-21, 2)):
         X = np.array([[0.25, 0.75 - gap]] * 2)
-        assert edge.guard_activations(X) == count == _guard_count_oracle(edge, X)
+        assert _clamped(edge, X) == count == _guard_count_oracle(edge, X)
 
 
 def test_wanet_without_users_has_empty_gradients():
     g = WanetGame([1.0], [])
     assert g.own_gradients(np.zeros((0, 0))).shape == (0,)
     assert g.pseudo_gradient(np.zeros(0)).shape == (0,)
-    assert g.guard_activations(np.zeros((0, 0))) == 0
+    assert _clamped(g, np.zeros((0, 0))) == 0
+    grads, pseudo, guards = g.evaluate(np.zeros((0, 0)))
+    assert grads.shape == pseudo.shape == (0,) and guards == 0
 
 
 def test_wanet_validation():

@@ -1,7 +1,7 @@
 """What the loop may skip or reuse cannot be seen from outside: the consensus
-error is computed only where it is read, the wanet link loads behind the
-gradients are not evaluated per player for the residual, and a result holds
-its own arrays."""
+error is computed only where it is read, the game is evaluated once per
+iteration for the step, the residual and the records, and a result holds its
+own arrays."""
 
 import itertools
 from dataclasses import replace
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nashadmm.loop as loop
+import nashadmm.metrics as metrics
 from nashadmm import (
     AdmmConfig,
     BaselineConfig,
@@ -54,17 +55,17 @@ def test_consensus_error_runs_only_where_it_is_read(monkeypatch):
     game, graph = random_quadratic_game(8, 1), ring(8)
     cfg = AdmmConfig(tol_consensus=1e-8, tol_residual=1e-4, record_every=50)
     residuals, calls = [], []
-    ne_residual, consensus_error = loop.ne_residual, loop.consensus_error
+    gap, consensus_error = loop._fixed_point_gap, loop.consensus_error
 
-    def residual(x, game):
-        residuals.append(ne_residual(x, game))
+    def residual(x, F, box):
+        residuals.append(gap(x, F, box))
         return residuals[-1]
 
     def error(X, graph):
         calls.append(len(residuals) - 1)  # the iteration the loop is judging
         return consensus_error(X, graph)
 
-    monkeypatch.setattr(loop, "ne_residual", residual)
+    monkeypatch.setattr(loop, "_fixed_point_gap", residual)
     monkeypatch.setattr(loop, "consensus_error", error)
     res = run(game, graph, cfg)
     end = res.state.k
@@ -75,20 +76,36 @@ def test_consensus_error_runs_only_where_it_is_read(monkeypatch):
     assert calls == sorted(close | recorded)
 
 
-def test_wanet_run_evaluates_own_gradients_once_per_step(monkeypatch):
-    """ne_residual takes one load evaluation per profile, not the n-row gradients."""
+@pytest.mark.parametrize("solver", ["run", "sweep"])
+def test_wanet_loop_evaluates_the_game_once_per_iteration(monkeypatch, solver):
+    """One `evaluate` of the live stack per iteration serves the step, the
+    residual and the records; nothing else asks the game for a gradient."""
     game, graph = default_wanet_instance(7)
-    own_gradients, calls = WanetGame.own_gradients, []
+    evaluate, calls = WanetGame.evaluate, []
 
     def counted(self, X):
         calls.append(X.shape)
-        return own_gradients(self, X)
+        return evaluate(self, X)
 
-    monkeypatch.setattr(WanetGame, "own_gradients", counted)
-    steps = 40
-    res = run(game, graph, AdmmConfig(max_iter=steps, tol_consensus=1e-300, tol_residual=1e-300))
-    assert (res.reason, res.state.k) == ("iteration budget", steps)
-    assert calls == [(1, 15, 15)] * steps  # the steps' own calls, and no other
+    def refused(*args, **kwargs):
+        raise AssertionError("the game was evaluated outside `evaluate`")
+
+    monkeypatch.setattr(WanetGame, "evaluate", counted)
+    for name in ("own_gradients", "pseudo_gradient"):
+        monkeypatch.setattr(WanetGame, name, refused)
+    monkeypatch.setattr(metrics, "ne_residual", refused)
+    if solver == "run":
+        res = run(game, graph, AdmmConfig(max_iter=40, tol_consensus=1e-300,
+                                          tol_residual=1e-300))
+        ends = [res.state.k]
+        assert res.reason == "iteration budget" and len(res.records) == 41
+    else:  # members leave the stack at different iterations
+        runs = run_baseline(game, graph, BaselineConfig(
+            sweep=(0.2, 0.1, 0.05), max_iter=2100, tol_consensus=1e-2, tol_residual=1e-2))
+        ends = [r.state.k for r in runs]
+        assert ends == [2079, 2056, 2100]
+    assert not hasattr(game, "guard_activations")
+    assert calls == [(sum(end >= k for end in ends), 15, 15) for k in range(max(ends) + 1)]
 
 
 def test_sweep_results_share_no_memory():
