@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,8 @@ class GameModel(abc.ABC):
     stack of such matrices, shaped (..., n, n); the result is then (..., n),
     each matrix's gradients exactly as a call on that matrix alone gives them.
     The solvers read the game once per iteration, through `evaluate(X)`, whose
-    default needs only `own_gradients`.
+    default needs only `own_gradients`; a game may override `evaluate` and
+    answer `own_gradients` from it.
     """
 
     n_players: int
@@ -100,7 +101,7 @@ class GameModel(abc.ABC):
         the guarded cost terms clamped over all players, player i at row
         X[..., i, :]). The count is an int for one matrix and one per matrix
         for a stack; this default has no guards, so it is 0. A game may
-        override it to share work between the three, with the same bytes."""
+        override it to share work between the three."""
         X = np.asarray(X, dtype=float)
         guards = 0 if X.ndim == 2 else np.zeros(X.shape[:-2], dtype=int)
         return self.own_gradients(X), self.pseudo_gradient(X.diagonal(0, -2, -1).copy()), guards
@@ -214,7 +215,9 @@ class WanetGame(GameModel):
     with load_j(x) the total flow of users whose path contains link j. A
     denominator falling below `eps_guard` is clamped there, which keeps cost
     and gradient total even when a profile transiently oversubscribes a link;
-    clamping events are counted by `evaluate`.
+    clamping events are counted by `evaluate`. `evaluate` holds the gradient
+    code: `own_gradients` is its first part, and the pseudo-gradient of a
+    profile is the base class's, at n copies of it.
     """
 
     def __init__(self, capacities, routes, kappa=1.0, chi=10.0,
@@ -252,25 +255,28 @@ class WanetGame(GameModel):
         if self.action_box.n != self.n_players:
             raise ValueError("action box size disagrees with user count")
 
-        # route entries (user i, link j) by user and link; a load adds its users in order
-        entries = [(i * self.n_players, users[j]) for i, r in enumerate(self.routes) for j in r]
-        self._users = np.array([u for _, us in entries for u in us], dtype=int)
-        self._rows = np.array([row + u for row, us in entries for u in us], dtype=int)
-        sizes = np.array([len(us) for _, us in entries], dtype=int)
+        # route entries (user i, link j) by user and link; a load adds link j's users in
+        # order, first from row i of X flattened to (..., n * n), then from the played
+        # profile, whose X[u, u] is entry u * (n + 1)
+        n = self.n_players
+        entries = [(i, users[j]) for i, r in enumerate(self.routes) for j in r]
+        self._index = np.array([i * n + u for i, us in entries for u in us]
+                               + [u * (n + 1) for _, us in entries for u in us], dtype=int)
+        sizes = np.array([len(us) for _, us in entries] * 2, dtype=int)
         self._starts = sizes.cumsum() - sizes
-        # the rows' entries, then the played profile's: X[u, u] is entry u * (n + 1)
-        # of X flattened to (..., n * n)
-        self._rows_and_diag = np.concatenate((self._rows, self._users * (self.n_players + 1)))
-        self._rows_and_diag_starts = np.concatenate((self._starts, self._starts + self._rows.size))
         self._entry_caps = self.capacities[[j for r in self.routes for j in r]]
         lengths = np.array([len(r) for r in self.routes], dtype=int)
         depth = np.arange(lengths.max(initial=0))[:, None]
         self._filled = depth < lengths
         self._entries = np.where(self._filled, lengths.cumsum() - lengths + depth, 0)
 
-    def _residuals(self, x: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Unguarded C_j - load_j per route entry, of a profile (`_users`) or flat rows."""
-        return self._entry_caps - np.add.reduceat(x.take(index, axis=-1), self._starts, axis=-1)
+    def _residuals(self, X: np.ndarray) -> np.ndarray:
+        """Unguarded C_j - load_j per route entry, shaped (..., 2, entries): of the
+        rows X[..., i, :], then of the played profile diag(X), in one gather."""
+        loads = np.add.reduceat(X.reshape(*X.shape[:-2], -1).take(self._index, axis=-1),
+                                self._starts, axis=-1)
+        # the entry count, not -1: a game without users has none
+        return self._entry_caps - loads.reshape(*X.shape[:-2], 2, self._entry_caps.size)
 
     def _prices(self, residual: np.ndarray) -> np.ndarray:
         """User i: kappa / den^2 (den guarded) summed down column i of `_entries` in
@@ -282,28 +288,18 @@ class WanetGame(GameModel):
         self._check_index(i)
         x = np.asarray(x, dtype=float)
         route = self._entries[:len(self.routes[i]), i]
-        den = np.maximum(self._residuals(x, self._users)[route], self.eps_guard)
+        # profile x's loads are those of the played profile of diag(x)
+        den = np.maximum(self._residuals(np.diag(x))[1, route], self.eps_guard)
         return float(np.sum(self.kappa / den) - self.chi[i] * np.log(x[i] + 1.0))
 
     def own_gradients(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        residual = self._residuals(X.reshape(*X.shape[:-2], -1), self._rows)
-        return self._prices(residual) - self.chi / (X.diagonal(0, -2, -1) + 1.0)
-
-    def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
-        """F(x), its loads gathered from the profile, not n copies: the same bytes."""
-        x = np.asarray(x, dtype=float)
-        return self._prices(self._residuals(x, self._users)) - self.chi / (x + 1.0)
+        return self.evaluate(X)[0]
 
     def evaluate(self, X: np.ndarray):
-        """The rows' loads and the played profiles' loads in one gather and one
-        np.add.reduceat, and all their prices in one `_prices` call; each part
-        adds as its own method does, so the bytes are the same."""
+        """The rows' and the played profiles' loads from one `_residuals` call,
+        and all their prices from one `_prices` call."""
         X = np.asarray(X, dtype=float)
-        flat = X.reshape(*X.shape[:-2], -1)
-        loads = np.add.reduceat(flat.take(self._rows_and_diag, axis=-1),
-                                self._rows_and_diag_starts, axis=-1)
-        residual = self._entry_caps - loads.reshape(*X.shape[:-2], 2, self._starts.size)
+        residual = self._residuals(X)
         utility = self.chi / (X.diagonal(0, -2, -1) + 1.0)
         grads = self._prices(residual) - utility[..., None, :]
         counts = (residual[..., 0, :] < self.eps_guard).sum(axis=-1)  # NaN is never clamped

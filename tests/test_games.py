@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nashadmm import (
     ActionBox,
-    GameModel,
     QuadraticGame,
     WanetGame,
     default_wanet_instance,
@@ -254,18 +253,26 @@ def test_stacked_gradients_bitwise(game, lo, hi):
         assert guards.sum() > 0
 
 
+def _played_and_rows(game, profiles):
+    """`evaluate`'s played-profile half and rows half at n copies of each profile."""
+    grads, pseudo, _ = game.evaluate(np.repeat(profiles[..., None, :], game.n_players, axis=-2))
+    return pseudo, grads
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_wanet_pseudo_gradient_is_the_rows_path_bit_for_bit(seed):
-    """One load evaluation per profile gives what n copies of it give, on every
-    default instance, with -0.0 entries and clamped terms."""
+    """The loads gathered from the played profile give what the loads of n rows
+    holding it give, on every default instance, with -0.0 entries and clamped
+    terms; the base class's pseudo_gradient is that rows path."""
     game, _ = default_wanet_instance(seed)
     n = game.n_players
     rng = np.random.default_rng(seed)
     profiles = rng.uniform(0.0, 10.0, size=(5, n)) * np.array([[1.0], [1.0], [0.3], [0.05], [0]])
     profiles[rng.random(profiles.shape) < 0.2] = -0.0
-    rows = GameModel.pseudo_gradient(game, profiles)
-    assert game.pseudo_gradient(profiles).tobytes() == rows.tobytes()
+    pseudo, rows = _played_and_rows(game, profiles)
+    assert pseudo.tobytes() == rows.tobytes() == game.pseudo_gradient(profiles).tobytes()
     for x, expected in zip(profiles, rows):
+        assert _played_and_rows(game, x)[0].tobytes() == expected.tobytes()
         assert game.pseudo_gradient(x).tobytes() == expected.tobytes()
     assert _clamped(game, profiles[:2, None, :].repeat(n, axis=1)).sum() > 0
 
@@ -283,25 +290,22 @@ def _three_sharer_games():
 
 
 def test_wanet_pseudo_gradient_is_the_rows_path_where_three_share_a_link():
-    """With 3 or more users on a link a load's sum order matters; both paths add
-    a link's flows in the same order, so they still agree bit for bit."""
+    """With 3 or more users on a link a load's sum order matters; both halves
+    add a link's flows in the same order, so they still agree bit for bit."""
     stacks = np.random.default_rng(1)
     for game, x in _three_sharer_games():
         n = game.n_players
-        assert game.pseudo_gradient(x).tobytes() == GameModel.pseudo_gradient(game, x).tobytes()
         stack = stacks.uniform(0.0, 10.0, size=(2, 3, n)) * np.array([[[1.0]], [[0.3]]])
-        assert game.pseudo_gradient(stack).tobytes() \
-            == GameModel.pseudo_gradient(game, stack).tobytes()
+        for profiles in (x, stack):
+            pseudo, rows = _played_and_rows(game, profiles)
+            assert pseudo.tobytes() == rows.tobytes()
 
 
 def _assert_evaluate_is_the_separate_calls(game, X):
-    """evaluate(X) gives the bytes of own_gradients(X), of GameModel's
-    pseudo_gradient at each diag(X) copied, and of the per-link guard count."""
-    grads, pseudo, guards = game.evaluate(X)
-    actions = X.diagonal(0, -2, -1).copy()
-    assert grads.tobytes() == game.own_gradients(X).tobytes()
-    assert pseudo.tobytes() == GameModel.pseudo_gradient(game, actions).tobytes()
-    assert pseudo.tobytes() == game.pseudo_gradient(actions).tobytes()
+    """evaluate(X) gives the bytes of pseudo_gradient at each diag(X) copied,
+    which reads the rows of n copies, and of the per-link guard count."""
+    _, pseudo, guards = game.evaluate(X)
+    assert pseudo.tobytes() == game.pseudo_gradient(X.diagonal(0, -2, -1).copy()).tobytes()
     matrices = X.reshape(-1, *X.shape[-2:])
     assert np.ravel(guards).tolist() == [_guard_count_oracle(game, M) for M in matrices]
     if X.ndim == 2:
@@ -375,6 +379,36 @@ def test_wanet_guard_count_where_links_are_oversubscribed_or_nan():
     for gap, count in ((2.0**-20, 0), (2.0**-21, 2)):
         X = np.array([[0.25, 0.75 - gap]] * 2)
         assert _clamped(edge, X) == count == _guard_count_oracle(edge, X)
+
+
+def _cost_oracle(game, i, x):
+    """kappa / max(C_j - load_j, eps) summed over user i's links in link order,
+    minus chi_i log(1 + x_i); load_j adds link j's users' flows in user order."""
+    price = 0.0
+    for j in game.routes[i]:
+        load = sum(x[k] for k in range(game.n_players) if j in game.routes[k])
+        price += game.kappa / max(game.capacities[j] - load, game.eps_guard)
+    return price - game.chi[i] * np.log(1.0 + x[i])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_wanet_cost_is_the_oracle_bit_for_bit(seed):
+    """At most two users share a link on a default instance, so every load is
+    exact, oversubscribed links and -0.0 entries too."""
+    game, _ = default_wanet_instance(seed)
+    n = game.n_players
+    rng = np.random.default_rng(seed)
+    profiles = rng.uniform(0.0, 10.0, size=(4, n)) * np.array([[1.0], [1.0], [0.3], [0.05]])
+    profiles[rng.random(profiles.shape) < 0.2] = -0.0
+    assert (link_loads(game, profiles[0]) > game.capacities).any()
+    for x in profiles:
+        assert [game.cost(i, x) for i in range(n)] == [_cost_oracle(game, i, x) for i in range(n)]
+
+
+def test_wanet_cost_is_the_oracle_where_three_share_a_link():
+    for game, x in _three_sharer_games():
+        for i in range(game.n_players):
+            assert math.isclose(game.cost(i, x), _cost_oracle(game, i, x), rel_tol=1e-12)
 
 
 def test_wanet_without_users_has_empty_gradients():
