@@ -7,10 +7,10 @@ and an augmented-Lagrangian splitting yields a per-player recursion whose
 only dual memory is the aggregate penalty vector w^i.
 
 All updates are synchronous: every player reads iteration-k state. The step
-writes the new estimates into arrays its plan holds and updates the penalty
-vectors in place once nothing reads their old values. tests/oracles.py keeps
-the explicit form, one multiplier pair per directed edge, as the reference for
-this recursion.
+writes the new estimates over the old and updates the penalty vectors in place,
+each once nothing reads its old values. tests/oracles.py keeps the explicit
+form, one multiplier pair per directed edge, as the reference for this
+recursion.
 """
 
 from __future__ import annotations
@@ -65,15 +65,14 @@ class AdmmConfig(StopRule):
 
 
 def _step_weights(cfg: AdmmConfig, graph: CommGraph):
-    """The step's per-player constants on graph: degrees |N_i|, beta, 2c|N_i| and
-    alpha = beta + 2c|N_i|. A beta of the wrong length, or a c so large that
-    alpha or 2c|N_i| is not finite, raises SettingError before any step."""
+    """The step's per-player constants on graph: beta + c|N_i| and alpha = beta +
+    2c|N_i|. A beta of the wrong length, or a c so large that alpha is not
+    finite, raises SettingError before any step."""
     deg, beta = graph.degrees().astype(float), cfg.beta_vector(graph.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        two_c_deg = 2.0 * cfg.c * deg
-        alpha = beta + two_c_deg
+        alpha = beta + 2.0 * cfg.c * deg
     _check(np.isfinite(alpha).all(), "c", "must keep beta + 2c * degree finite")
-    return deg, beta, two_c_deg, alpha
+    return beta + cfg.c * deg, alpha
 
 
 def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
@@ -83,10 +82,9 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     game: `grads` holds F_i(x^i) at the rows of X, from the loop's one
     evaluation of this iteration.
 
-    The step allocates no matrix once running. Per stack shape it holds four
-    arrays of X's shape: the neighbor sums, the W increment, and two arrays
-    the returned X alternates between, so a returned X is overwritten two
-    steps later. It updates W in place and returns it.
+    The step allocates no matrix once running: per stack shape it holds two
+    arrays of X's shape, the neighbor sums and the W increment. It writes the
+    new estimates over X and updates W in place, and returns them both.
 
     With all quantities on the right-hand side read from iteration k:
 
@@ -103,32 +101,31 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     multiplier form step for step. The input gate has passed game and graph,
     so every player has a neighbor.
     """
-    c = cfg.c
-    deg, beta, two_c_deg, alpha = _step_weights(cfg, graph)
-    keep = beta + c * deg
-    deg_col, two_c_col = deg[:, None], two_c_deg[:, None]
+    c, deg_col = cfg.c, graph.row_degrees()
+    keep, alpha = _step_weights(cfg, graph)
+    two_c_col = 2.0 * c * deg_col  # finite, as alpha is
 
-    held = []  # S, T, A, B
+    held = []  # S, T
 
     def step(X: np.ndarray, W: np.ndarray, live, grads) -> tuple[np.ndarray, np.ndarray]:
         if not held or held[0].shape != X.shape:  # the first step, or members dropped
-            held[:] = [np.empty(X.shape) for _ in range(4)]
-        S, T, A, B = held
-        X_new = B if np.may_share_memory(X, A) else A
+            held[:] = [np.empty(X.shape) for _ in range(2)]
+        S, T = held
         # in the operation order of W + c (deg X - S) and S / deg - W / (2c deg);
-        # W += T is bitwise T + W, so W is updated once X_new has read it
+        # W += T is bitwise T + W, so W is updated once the new X has read it
         graph.neighbor_sums(X, out=S, work=T)
         np.multiply(deg_col, X, out=T)
         T -= S
         T *= c
         c_own_sums = c * S.diagonal(0, -2, -1)
-        np.divide(S, deg_col, out=X_new)
-        X_new -= np.divide(W, two_c_col, out=S)
+        keep_own = keep * X.diagonal(0, -2, -1)
+        np.divide(S, deg_col, out=X)
+        X -= np.divide(W, two_c_col, out=S)
         W += T
-        own_num = keep * X.diagonal(0, -2, -1) - W.diagonal(0, -2, -1) - grads + c_own_sums
+        own_num = keep_own - W.diagonal(0, -2, -1) - grads + c_own_sums
         # the projection writes through a view of each diagonal
-        game.action_box.project(own_num / alpha, out=np.einsum("...ii->...i", X_new))
-        return X_new, W
+        game.action_box.project(own_num / alpha, out=np.einsum("...ii->...i", X))
+        return X, W
 
     return step
 

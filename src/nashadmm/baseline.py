@@ -51,7 +51,7 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
     on regular graphs, where it therefore preserves the column sums of X.
     """
-    deg_plus_1 = graph.degrees().astype(float)[:, None] + 1.0
+    deg_plus_1 = graph.row_degrees() + 1.0
     gamma_col = np.asarray(gammas, dtype=float)[:, None]
 
     def step(X: np.ndarray, W: None, live, grads) -> tuple[np.ndarray, None]:

@@ -90,6 +90,13 @@ class CommGraph:
         """Vector of node degrees |N_i|."""
         return np.array([len(l) for l in self._nbrs], dtype=np.int64)
 
+    def row_degrees(self) -> np.ndarray | np.float64:
+        """The degrees as floats that scale the rows of an (n, n) matrix: an (n, 1)
+        column, which numpy runs as one inner loop per row, or one double if all
+        are equal, which gives the same bits."""
+        d = self.degrees().astype(float)
+        return d[0] if (d == d[0]).all() else d[:, None]
+
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only endpoint arrays (i, j), i < j, one entry per edge."""
         return self._ends
@@ -131,17 +138,13 @@ class CommGraph:
 
     def is_connected(self) -> bool:
         """True iff every node is reachable from node 0."""
-        nbrs = self._nbrs
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
+            for v in self._nbrs[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
                     stack.append(v)
-        return all(seen)
+        return len(seen) == self.n
 
     def lambda_min_d_plus_a(self) -> float:
         """Smallest eigenvalue of D + A, computed once: D + A is positive

@@ -112,8 +112,8 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     X and W (None for a solver without duals) hold one state per member on
     axis 0, and `step(X, W, live, grads)` returns them all advanced, `live`
     giving each row's index in the original stack and `grads` the rows' own
-    gradients at X. The step may write into W and into arrays it returned
-    before, so a result holds copies. A member whose step produced a
+    gradients at X. The step may overwrite X and W: the caller hands both
+    over, and a result holds copies. A member whose step produced a
     non-finite value stops as "diverged", with no floating-point warning: an
     overflow ends as a clipped step or as that stop. A stopped member leaves
     the stack; the others go on as if they ran alone, and each keeps its own
