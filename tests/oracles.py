@@ -163,6 +163,46 @@ def unsimplified_step(dstate: DualState, game, graph, cfg) -> DualState:
     return DualState(u=u_new, v=v_new, X=X_new, k=dstate.k + 1)
 
 
+def seeded_states(m: int, n: int, seed: int, nan_member: int | None = None):
+    """m random (n, n) estimate and penalty matrices with -0.0 entries in both,
+    and one NaN in member nan_member's X: inputs for the reference steps."""
+    rng = np.random.default_rng(seed)
+    X, W = rng.uniform(0.0, 2.0, (m, n, n)), rng.normal(0.0, 0.1, (m, n, n))
+    X[:, ::3, 1::4] = -0.0
+    W[:, 1::4, ::3] = -0.0
+    if nan_member is not None:
+        X[nan_member, 1, 0] = np.nan
+    return X, W
+
+
+def reference_admm_step(X, W, grads, game, graph, cfg):
+    """One step of the solver's compact recursion (`nashadmm.admm._admm_plan`) on
+    a stack, in plain form: a fresh array per operation and the per-row
+    constants as (n, 1) columns, in the solver's operation order, so the two
+    agree bit for bit. Returns the new X and W; neither input is written."""
+    c, n = cfg.c, graph.n
+    deg, beta = graph.degrees().astype(float), cfg.beta_vector(n)
+    S = graph.neighbor_sums(X)
+    W_new = W + (deg[:, None] * X - S) * c
+    X_new = S / deg[:, None] - W / (2.0 * c * deg)[:, None]
+    own = (beta + c * deg) * X.diagonal(0, -2, -1) - W_new.diagonal(0, -2, -1) - grads \
+        + c * S.diagonal(0, -2, -1)
+    idx = np.arange(n)
+    X_new[..., idx, idx] = np.clip(own / (beta + 2.0 * c * deg), game.action_box.lower,
+                                   game.action_box.upper)
+    return X_new, W_new
+
+
+def reference_baseline_step(X, grads, game, graph, gammas):
+    """One step of the baseline (`nashadmm.baseline._baseline_plan`) on a stack,
+    member g stepping by gammas[g], in the same plain form."""
+    deg, idx = graph.degrees().astype(float), np.arange(graph.n)
+    X_new = (graph.neighbor_sums(X) + X) / (deg[:, None] + 1.0)
+    own = X.diagonal(0, -2, -1) - np.asarray(gammas, dtype=float)[:, None] * grads
+    X_new[..., idx, idx] = np.clip(own, game.action_box.lower, game.action_box.upper)
+    return X_new
+
+
 def dual_w_matrix(dstate: DualState, graph) -> np.ndarray:
     """Aggregate w^i = sum_{j in N_i} (u^{ij} + v^{ji}) as an n-by-n matrix."""
     return np.stack([

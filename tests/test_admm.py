@@ -18,6 +18,7 @@ from nashadmm import (
     complete,
     condition_threshold,
     consensus_error,
+    default_wanet_instance,
     init_state,
     path,
     quadratic_ne,
@@ -30,7 +31,8 @@ from nashadmm import cli
 from nashadmm.admm import _admm_plan
 from nashadmm.loop import SettingError
 
-from oracles import dual_w_matrix, init_dual_state, unsimplified_step
+from oracles import (dual_w_matrix, init_dual_state, reference_admm_step, seeded_states,
+                     unsimplified_step)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,6 +211,54 @@ def test_steady_state_step_allocates_no_matrix():
     assert grown < n * n * 8
 
 
+def test_first_step_keeps_two_matrices():
+    # the plan holds the neighbor sums and the W increment; the new X goes over the old
+    n = 200
+    g, gr = random_quadratic_game(n, seed=0), ring(n)
+    s, step = init_state(g, gr, np.linspace(-1, 1, n)), _admm_plan(g, gr, AdmmConfig())
+    X, W = s.X[None], s.W[None]
+    grads = g.own_gradients(X)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        X_new, W_new = step(X, W, [0], grads)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 2.5 * n * n * 8
+    assert X_new is X and W_new is W
+
+
+# the scalar path (every degree equal) and the column path, and a stack that
+# loses a member, as the loop drops a diverged one
+_REFERENCE_CASES = {
+    "ring200": lambda: (random_quadratic_game(200, 0), ring(200),
+                        AdmmConfig(c=0.7, beta=tuple(np.linspace(0.5, 2.0, 200))), 1),
+    "complete8": lambda: (random_quadratic_game(8, 3), complete(8),
+                          AdmmConfig(c=1.3, beta=tuple(np.linspace(0.2, 3.0, 8))), 1),
+    "wanet7": lambda: (*default_wanet_instance(7), AdmmConfig(), 1),
+    "path9": lambda: (random_quadratic_game(9, 4), path(9), AdmmConfig(c=0.4, beta=2.5), 1),
+    "stack-drop": lambda: (random_quadratic_game(10, 5), ring(10),
+                           AdmmConfig(beta=tuple(np.linspace(0.5, 1.5, 10))), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_step_is_the_reference_step_bit_for_bit(case):
+    game, graph, cfg, m = _REFERENCE_CASES[case]()
+    X, W = seeded_states(m, graph.n, seed=len(case), nan_member=1 if m > 1 else None)
+    Xr, Wr = X.copy(), W.copy()
+    step, live = _admm_plan(game, graph, cfg), list(range(m))
+    for k in range(300):
+        if k == 150 and m > 1:  # member 1, whose NaN has spread, leaves the stack
+            live = [0, 2]
+            X, W, Xr, Wr = X[live], W[live], Xr[live], Wr[live]
+        X, W = step(X, W, live, game.evaluate(X)[0])
+        Xr, Wr = reference_admm_step(Xr, Wr, game.evaluate(Xr)[0], game, graph, cfg)
+        assert (X.tobytes(), W.tobytes()) == (Xr.tobytes(), Wr.tobytes()), k
+    assert np.isfinite(X).all() and np.isfinite(W).all()
+
+
 _FAULTS_PER_ITERATION = """
 import resource, sys
 import numpy as np
@@ -231,7 +281,7 @@ def test_second_solve_takes_almost_no_page_faults():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # fresh n-by-n arrays from malloc take about 60 faults an iteration; the
-    # plan's first touch of its own four arrays costs about 1 an iteration here
+    # plan's first touch of its own two arrays costs about 1 an iteration here
     assert float(proc.stdout) < 5
 
 
@@ -258,14 +308,14 @@ print(peak() - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read on Linux")
 def test_back_to_back_solves_keep_peak_memory_flat():
     """A finished solve leaves nothing behind: a plan caught in a reference
-    cycle would hold its four n-by-n arrays (1.25 MB at n = 200) until the
+    cycle would hold its two n-by-n arrays (640 KB at n = 200) until the
     garbage collector runs, and each solve would raise the peak by that."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 640  # KB: half of one plan's arrays, over three solves
+    assert int(proc.stdout) < 640  # KB: one plan's arrays, over three solves
 
 
 # ------------------------------------------------------- unsimplified form

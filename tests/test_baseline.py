@@ -9,6 +9,7 @@ from nashadmm import (
     BaselineConfig,
     QuadraticGame,
     compare,
+    default_wanet_instance,
     init_state,
     path,
     quadratic_ne,
@@ -20,7 +21,7 @@ from nashadmm import (
 from nashadmm.baseline import _baseline_plan
 from nashadmm.loop import SettingError
 
-from oracles import neighbor_sums_loop
+from oracles import neighbor_sums_loop, reference_baseline_step, seeded_states
 
 
 def decoupled(n=2, a=1.0, d=-1.0, half=10.0):
@@ -117,6 +118,33 @@ def test_step_projects_into_box():
         d = np.diagonal(X)
         assert np.all(d >= -1.0) and np.all(d <= 1.0)
     assert X[0, 0] == 1.0 and X[1, 1] == -1.0
+
+
+# the scalar path (every degree equal) and the column path, and a stack that
+# loses a member, as the loop drops a diverged one
+_REFERENCE_CASES = {
+    "ring200": lambda: (random_quadratic_game(200, 0), ring(200), (0.05,)),
+    "wanet7": lambda: (*default_wanet_instance(7), (0.1,)),
+    "path9-stack-drop": lambda: (random_quadratic_game(9, 4), path(9), (0.2, 0.6, 0.05)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_step_is_the_reference_step_bit_for_bit(case):
+    game, graph, gammas = _REFERENCE_CASES[case]()
+    m = len(gammas)
+    X = seeded_states(m, graph.n, seed=len(case), nan_member=1 if m > 1 else None)[0]
+    Xr = X.copy()
+    step, live = _baseline_plan(game, graph, gammas), list(range(m))
+    for k in range(300):
+        if k == 150 and m > 1:  # member 1, whose NaN has spread, leaves the stack
+            live = [0, 2]
+            X, Xr = X[live], Xr[live]
+        X, _ = step(X, None, live, game.evaluate(X)[0])
+        Xr = reference_baseline_step(Xr, game.evaluate(Xr)[0], game, graph,
+                                     [gammas[g] for g in live])
+        assert X.tobytes() == Xr.tobytes(), k
+    assert np.isfinite(X).all()
 
 
 def test_run_baseline_reaches_oracle_ne():

@@ -177,6 +177,13 @@ def test_degree_adjacency_consistency():
     assert np.array_equal(M - np.diag(np.diagonal(M)), indicator)
 
 
+def test_row_degrees_are_one_double_when_all_are_equal():
+    for g in (ring(6), complete(5), path(2)):
+        assert np.ndim(g.row_degrees()) == 0 and g.row_degrees() == g.degrees()[0]
+    for g in (path(4), random_connected_graph(8, 3, 1)):
+        assert np.array_equal(g.row_degrees(), g.degrees()[:, None].astype(float))
+
+
 def test_spectral_bounds_on_corpus():
     rng = np.random.default_rng(0)
     for trial in range(100):

@@ -1,7 +1,7 @@
 """What the loop may skip or reuse cannot be seen from outside: the consensus
 error is computed only where it is read, the game is evaluated once per
-iteration for the step, the residual and the records, and a result holds its
-own arrays."""
+iteration for the step, the residual and the records, a result holds its own
+arrays, and the caller's start is left as it was."""
 
 import itertools
 from dataclasses import replace
@@ -15,6 +15,7 @@ from nashadmm import (
     AdmmConfig,
     BaselineConfig,
     WanetGame,
+    compare,
     default_wanet_instance,
     random_quadratic_game,
     ring,
@@ -128,3 +129,22 @@ def test_a_second_run_leaves_the_first_result_as_it_was():
     assert _state_bits(second) == before[0]
     for a, b in ((first.state.X, second.state.X), (first.state.W, second.state.W)):
         assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("solver", ["run", "compare"])
+def test_a_start_profile_is_left_as_it_was(solver):
+    # the step writes over the loop's X and W, which are the loop's own
+    game, graph = random_quadratic_game(10, 2), ring(10)
+    x0 = np.linspace(-0.5, 0.5, 10)
+    x0[3] = -0.0
+    before = x0.tobytes()
+    cfg = AdmmConfig(max_iter=120, record_every=10)
+    if solver == "run":
+        results = [run(game, graph, cfg, x0=x0)]
+    else:
+        rep = compare(game, graph, cfg, BaselineConfig(max_iter=120), tol=1e-30, x0=x0)
+        results = [rep.admm_result, rep.baseline_result]
+    assert x0.tobytes() == before
+    for r in results:
+        assert r.state.k == 120
+        assert not np.shares_memory(r.state.X, x0) and not np.shares_memory(r.state.W, x0)
