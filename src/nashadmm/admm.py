@@ -50,7 +50,7 @@ class AdmmConfig(StopRule):
         super().__post_init__()
         _check(self.c > 0, "c", "must be positive")
         b = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        _check(b.size > 0 and np.all(b > 0) and np.all(np.isfinite(b)), "beta",
+        _check(b.ndim == 1 and b.size > 0 and np.all(b > 0) and np.all(np.isfinite(b)), "beta",
                "must be a positive number or a nonempty list of them")
         beta = float(b[0]) if np.ndim(self.beta) == 0 else tuple(float(x) for x in b)
         object.__setattr__(self, "beta", beta)
@@ -82,9 +82,9 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     game: `grads` holds F_i(x^i) at the rows of X, from the loop's one
     evaluation of this iteration.
 
-    The step allocates no matrix once running: per stack shape it holds two
-    arrays of X's shape, the neighbor sums and the W increment. It writes the
-    new estimates over X and updates W in place, and returns them both.
+    The step allocates no matrix: the loop hands it S and T, two scratch arrays
+    of X's shape, for the neighbor sums and the W increment. It writes the new
+    estimates over X and updates W in place.
 
     With all quantities on the right-hand side read from iteration k:
 
@@ -105,12 +105,7 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     keep, alpha = _step_weights(cfg, graph)
     two_c_col = 2.0 * c * deg_col  # finite, as alpha is
 
-    held = []  # S, T
-
-    def step(X: np.ndarray, W: np.ndarray, live, grads) -> tuple[np.ndarray, np.ndarray]:
-        if not held or held[0].shape != X.shape:  # the first step, or members dropped
-            held[:] = [np.empty(X.shape) for _ in range(2)]
-        S, T = held
+    def step(X: np.ndarray, W: np.ndarray, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         # in the operation order of W + c (deg X - S) and S / deg - W / (2c deg);
         # W += T is bitwise T + W, so W is updated once the new X has read it
         graph.neighbor_sums(X, out=S, work=T)
@@ -125,7 +120,6 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
         own_num = keep_own - W.diagonal(0, -2, -1) - grads + c_own_sums
         # the projection writes through a view of each diagonal
         game.action_box.project(own_num / alpha, out=np.einsum("...ii->...i", X))
-        return X, W
 
     return step
 

@@ -34,6 +34,7 @@ class BaselineConfig(StopRule):
 
     def __post_init__(self):
         super().__post_init__()
+        _check(np.ndim(self.sweep) == 1, "sweep", "must be a list of step sizes")
         sweep = tuple(float(g) for g in self.sweep)
         _check(len(sweep) > 0, "sweep", "must list at least one step size")
         _check(all(0 < g < np.inf for g in sweep), "sweep",
@@ -45,7 +46,8 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     """The step on a stack of estimate matrices, member g stepping by gammas[g]:
     averaging on the non-own coordinates, projected gradient on the own one,
     along `grads`, the rows' own gradients from the loop's evaluation of X.
-    It keeps no duals, so W passes through as None.
+    It keeps no duals, so W is None, and it writes the new estimates over X,
+    with S and T, the loop's two scratch arrays, holding the neighbor sums.
 
     Row i of the average is the mean of {x^j : j in N_i union {i}}. The mixing
     matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
@@ -54,13 +56,12 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     deg_plus_1 = graph.row_degrees() + 1.0
     gamma_col = np.asarray(gammas, dtype=float)[:, None]
 
-    def step(X: np.ndarray, W: None, live, grads) -> tuple[np.ndarray, None]:
-        S = graph.neighbor_sums(X)
-        X_new = np.divide(np.add(S, X, out=S), deg_plus_1, out=S)
+    def step(X: np.ndarray, W: None, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         own = X.diagonal(0, -2, -1) - gamma_col[live] * grads
+        graph.neighbor_sums(X, out=S, work=T)
+        np.divide(np.add(S, X, out=S), deg_plus_1, out=X)
         # the projection writes through a view of each diagonal
-        game.action_box.project(own, out=np.einsum("...ii->...i", X_new))
-        return X_new, W
+        game.action_box.project(own, out=np.einsum("...ii->...i", X))
 
     return step
 

@@ -101,16 +101,15 @@ class CommGraph:
         """Read-only endpoint arrays (i, j), i < j, one entry per edge."""
         return self._ends
 
-    def neighbor_sums(self, X: np.ndarray, out: np.ndarray | None = None,
-                      work: np.ndarray | None = None) -> np.ndarray:
-        """Row i = sum of the rows X[..., j, :], j in N_i, added in ascending j
-        (a fixed order, so repeated runs are bit-identical); X may be a stack.
+    def neighbor_sums(self, X: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """`out` with row i = sum of the rows X[..., j, :], j in N_i, added in
+        ascending j (a fixed order, so repeated runs are bit-identical); X may be
+        a stack.
 
-        Slot s gathers every node's s-th neighbor row, the first into `out`
-        and the rest into `work` if given, so the two arrays make the sums
-        allocation-free; both have X's shape and neither may overlap X. Where a
-        node has fewer than s + 1 neighbors, the slot's row mask keeps its sum
-        as it was (+0.0 for a node of degree 0).
+        Slot s gathers every node's s-th neighbor row, the first into `out` and
+        the rest into `work`, so the sums allocate nothing; both have X's shape
+        and neither may overlap X. Where a node has fewer than s + 1 neighbors,
+        the slot's row mask keeps its sum as it was (+0.0 for a node of degree 0).
         """
         # mode="clip" writes straight into `out`; the default "raise" gathers
         # into a temporary first. Every index is in range, so nothing is clipped.

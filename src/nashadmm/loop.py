@@ -39,6 +39,8 @@ class StopRule:
     record_every: int = 1
 
     def __post_init__(self):
+        for f in ("max_iter", "record_every"):  # Python or numpy ints; numpy's bool is no integer
+            _check(np.issubdtype(type(getattr(self, f)), np.integer), f, "must be an integer")
         _check(self.max_iter >= 0, "max_iter", "must be nonnegative")
         _check(self.tol_consensus > 0, "tol_consensus", "must be positive")
         _check(self.tol_residual > 0, "tol_residual", "must be positive")
@@ -110,24 +112,26 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     """Step, measure, record and stop each member of a stack on its own.
 
     X and W (None for a solver without duals) hold one state per member on
-    axis 0, and `step(X, W, live, grads)` returns them all advanced, `live`
-    giving each row's index in the original stack and `grads` the rows' own
-    gradients at X. The step may overwrite X and W: the caller hands both
-    over, and a result holds copies. A member whose step produced a
-    non-finite value stops as "diverged", with no floating-point warning: an
-    overflow ends as a clipped step or as that stop. A stopped member leaves
-    the stack; the others go on as if they ran alone, and each keeps its own
-    records. A record's `elapsed` is the whole stack's wall clock.
+    axis 0; `step(X, W, S, T, live, grads)` advances them in place, with S and
+    T scratch of X's shape, `live` each row's index in the original stack and
+    `grads` the rows' own gradients at X. The loop owns every array of that
+    shape: the caller hands X and W over, a result holds copies, and a stopped
+    member leaves the stack, which keeps the others' rows and the scratch's
+    leading rows. A member whose step produced a non-finite value stops as
+    "diverged", with no floating-point warning: an overflow ends as a clipped
+    step or as that stop. The others go on as if they ran alone, each with
+    its own records. A record's `elapsed` is the whole stack's wall clock.
 
     The game is evaluated once per iteration, for the whole stack
     (`game.evaluate(X)`): the step's gradients, the equilibrium residual (the
     gap of `ne_residual`, at the pseudo-gradient of the played profiles) and the
     records' guard counts all come from that call. The consensus error is
-    computed only where it is read: for the whole stack on a recorded
-    iteration, and for a member that is non-finite or whose residual is within
-    its tolerance, since convergence needs both.
+    computed, in one call for the whole stack, only on an iteration where some
+    member reads it: a recorded one, or one where a member is non-finite or
+    has its residual within tolerance, since convergence needs both.
     """
     t0 = time.perf_counter()
+    S, T = np.empty_like(X), np.empty_like(X)
     k, live, finite = 0, list(range(X.shape[0])), [True] * X.shape[0]
     records, results = [[] for _ in live], [None] * len(live)
     while True:
@@ -135,13 +139,13 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
         grads, pseudo, guards = game.evaluate(X)
         nr, guards = _fixed_point_gap(actions, pseudo, game.action_box).tolist(), guards.tolist()
         recorded = k % stop.record_every == 0 or k >= stop.max_iter
-        ce = consensus_error(X, graph).tolist() if recorded else [None] * len(live)
-        done, elapsed = [], time.perf_counter() - t0
+        ce = consensus_error(X, graph).tolist() if recorded else None
+        keep, elapsed = [], time.perf_counter() - t0
         for g, m in enumerate(live):
             ok = finite[g]
             close = k > 0 and ok and nr[g] <= stop.tol_residual
-            if ce[g] is None and (close or not ok):
-                ce[g] = consensus_error(X[g], graph)
+            if ce is None and (close or not ok):  # for the whole stack, at its first reader
+                ce = consensus_error(X, graph).tolist()
             converged = close and ce[g] <= stop.tol_consensus
             last = not ok or converged or k >= stop.max_iter
             if last or recorded:
@@ -152,14 +156,14 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
                 state = SolverState(X[g].copy(), dual, k)
                 reason = "converged" if converged else "iteration budget" if ok else "diverged"
                 results[m] = RunResult(state, records[m], reason)
-                done.append(g)
-        if len(done) == len(live):
+            else:
+                keep.append(g)
+        if not keep:
             return results
-        if done:
-            rest = [g for g in range(len(live)) if g not in done]
-            live, X, W = [live[g] for g in rest], X[rest], None if W is None else W[rest]
-            grads = grads[rest]
-        X, W = step(X, W, live, grads)
+        if len(keep) < len(live):
+            live, X, grads = [live[g] for g in keep], X[keep], grads[keep]
+            W, S, T = None if W is None else W[keep], S[:len(keep)], T[:len(keep)]
+        step(X, W, S, T, live, grads)
         k += 1
         finite = np.isfinite(X).all(axis=(-2, -1))
         finite = (finite if W is None else finite & np.isfinite(W).all(axis=(-2, -1))).tolist()

@@ -182,7 +182,7 @@ def reference_admm_step(X, W, grads, game, graph, cfg):
     agree bit for bit. Returns the new X and W; neither input is written."""
     c, n = cfg.c, graph.n
     deg, beta = graph.degrees().astype(float), cfg.beta_vector(n)
-    S = graph.neighbor_sums(X)
+    S = graph.neighbor_sums(X, np.empty_like(X), np.empty_like(X))
     W_new = W + (deg[:, None] * X - S) * c
     X_new = S / deg[:, None] - W / (2.0 * c * deg)[:, None]
     own = (beta + c * deg) * X.diagonal(0, -2, -1) - W_new.diagonal(0, -2, -1) - grads \
@@ -197,7 +197,8 @@ def reference_baseline_step(X, grads, game, graph, gammas):
     """One step of the baseline (`nashadmm.baseline._baseline_plan`) on a stack,
     member g stepping by gammas[g], in the same plain form."""
     deg, idx = graph.degrees().astype(float), np.arange(graph.n)
-    X_new = (graph.neighbor_sums(X) + X) / (deg[:, None] + 1.0)
+    X_new = (graph.neighbor_sums(X, np.empty_like(X), np.empty_like(X)) + X) \
+        / (deg[:, None] + 1.0)
     own = X.diagonal(0, -2, -1) - np.asarray(gammas, dtype=float)[:, None] * grads
     X_new[..., idx, idx] = np.clip(own, game.action_box.lower, game.action_box.upper)
     return X_new

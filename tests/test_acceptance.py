@@ -59,11 +59,12 @@ def wanet_forms(wanet_default):
     cfg = AdmmConfig()
     s, step = init_state(game, graph), _admm_plan(game, graph, cfg)
     X, W = s.X[None], s.W[None]
+    S, T = np.empty_like(X), np.empty_like(X)
     ds = init_dual_state(game, graph)
     dev200 = 0.0
     identity_max = 0.0
     for k in range(1, 1001):
-        X, W = step(X, W, [0], game.own_gradients(X))
+        step(X, W, S, T, [0], game.own_gradients(X))
         ds = unsimplified_step(ds, game, graph, cfg)
         if k <= 200:
             dev200 = max(dev200, float(np.max(np.abs(X[0] - ds.X))))
@@ -75,9 +76,10 @@ def wanet_forms(wanet_default):
 def _w_colsum_worst(game, graph, iters, stop_tol=None):
     s, step = init_state(game, graph), _admm_plan(game, graph, AdmmConfig())
     X, W = s.X[None], s.W[None]
+    S, T = np.empty_like(X), np.empty_like(X)
     worst = float(np.max(np.abs(W[0].sum(axis=0))))
     for _ in range(iters):
-        X, W = step(X, W, [0], game.own_gradients(X))
+        step(X, W, S, T, [0], game.own_gradients(X))
         worst = max(worst, float(np.max(np.abs(W[0].sum(axis=0)))))
         if stop_tol is not None:
             if (consensus_error(X[0], graph) <= stop_tol[0]
@@ -122,9 +124,10 @@ def test_criterion_02_form_equivalence(wanet_forms):
     for game, graph in legs:
         s, step = init_state(game, graph), _admm_plan(game, graph, cfg)
         X, W = s.X[None], s.W[None]
+        S, T = np.empty_like(X), np.empty_like(X)
         ds = init_dual_state(game, graph)
         for _ in range(200):
-            X, W = step(X, W, [0], game.own_gradients(X))
+            step(X, W, S, T, [0], game.own_gradients(X))
             ds = unsimplified_step(ds, game, graph, cfg)
             assert np.max(np.abs(X[0] - ds.X)) <= 1e-9
             assert np.max(np.abs(W[0] - dual_w_matrix(ds, graph))) <= 1e-9

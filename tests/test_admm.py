@@ -29,6 +29,7 @@ from nashadmm import (
 )
 from nashadmm import cli
 from nashadmm.admm import _admm_plan
+from nashadmm.baseline import _baseline_plan
 from nashadmm.loop import SettingError
 
 from oracles import (dual_w_matrix, init_dual_state, reference_admm_step, seeded_states,
@@ -55,6 +56,16 @@ def test_config_validation():
         AdmmConfig(tol_consensus=0.0)
     with pytest.raises(ValueError):
         AdmmConfig(record_every=0)
+    # a count is an integer: no fraction, no bool, no float however whole
+    for field, value in [("max_iter", 2.5), ("max_iter", True), ("max_iter", 3.0),
+                         ("record_every", 2.5), ("record_every", True), ("max_iter", "5")]:
+        with pytest.raises(SettingError) as exc:
+            AdmmConfig(**{field: value})
+        assert (exc.value.field, exc.value.reason) == (field, "must be an integer")
+    assert AdmmConfig(max_iter=np.int64(7), record_every=np.int32(2)).max_iter == 7
+    for beta in ([[1.0]], [[1.0, 2.0]]):
+        with pytest.raises(SettingError, match="^beta "):
+            AdmmConfig(beta=beta)
 
 
 def test_config_beta_vector():
@@ -135,13 +146,19 @@ def test_init_state_rejects_size_mismatch():
 
 
 # ------------------------------------------------------------ the step
-# The step advances a stack of states; each test steps a stack of one.
+# The step advances a stack of states in place; each test steps a stack of one.
+
+def scratch(X):
+    """The two scratch arrays the loop hands the step, for a stack shaped like X."""
+    return np.empty_like(X), np.empty_like(X)
+
 
 def test_step_fixed_point_at_consensus_ne():
     g = QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0], ActionBox.cube(2, -1, 1))
     gr = path(2)
     s = init_state(g, gr)
-    X, W = _admm_plan(g, gr, AdmmConfig())(s.X[None], s.W[None], [0], g.own_gradients(s.X))
+    X, W = s.X[None], s.W[None]
+    _admm_plan(g, gr, AdmmConfig())(X, W, *scratch(X), [0], g.own_gradients(s.X))
     assert np.all(X == 0.0) and np.all(W == 0.0)
 
 
@@ -151,16 +168,17 @@ def test_step_consensus_rows_leave_w_unchanged():
     x = np.array([0.3, -0.2, 0.9, 0.1])
     s = init_state(g, gr, x)
     W0 = np.arange(16.0).reshape(1, 4, 4) / 10.0
-    step = _admm_plan(g, gr, AdmmConfig(c=1.25))
-    _, W = step(s.X[None], W0.copy(), [0], g.own_gradients(s.X))
+    step, X, W = _admm_plan(g, gr, AdmmConfig(c=1.25)), s.X[None], W0.copy()
+    step(X, W, *scratch(X), [0], g.own_gradients(s.X))
     assert np.array_equal(W, W0)
 
 
 def test_step_hand_computed_two_player():
     g, gr = make_pair()
     s = init_state(g, gr)
-    (X,), W = _admm_plan(g, gr, AdmmConfig(c=1.0, beta=1.0))(
-        s.X[None], s.W[None], [0], g.own_gradients(s.X))
+    X, W = s.X, s.W[None]  # the stack of one is a view of X
+    _admm_plan(g, gr, AdmmConfig(c=1.0, beta=1.0))(
+        X[None], W, *scratch(W), [0], g.own_gradients(s.X))
     # alpha = 3, proj[(2*0 - 0 - (-2) + 0)/3] = 2/3 on both diagonals
     assert X[0, 0] == 2.0 / 3.0 and X[1, 1] == 2.0 / 3.0
     assert np.all(W == 0.0)
@@ -173,8 +191,9 @@ def test_step_keeps_actions_in_box():
     gr = path(2)
     s, step = init_state(g, gr), _admm_plan(g, gr, AdmmConfig())
     X, W = s.X[None], s.W[None]
+    S, T = scratch(X)
     for _ in range(10):
-        X, W = step(X, W, [0], g.own_gradients(X))
+        step(X, W, S, T, [0], g.own_gradients(X))
         d = np.diagonal(X[0])
         assert np.all(d >= -1.0) and np.all(d <= 1.0)
     # gradients with opposite signs pin the two actions at opposite bounds
@@ -186,47 +205,74 @@ def test_w_column_sums_stay_near_zero():
     gr = random_connected_graph(6, 3, 4)
     s, step = init_state(g, gr, np.linspace(-1, 1, 6)), _admm_plan(g, gr, AdmmConfig())
     X, W = s.X[None], s.W[None]
+    S, T = scratch(X)
     for _ in range(300):
-        X, W = step(X, W, [0], g.own_gradients(X))
+        step(X, W, S, T, [0], g.own_gradients(X))
         assert np.max(np.abs(W[0].sum(axis=0))) <= 1e-9
+
+
+def _both_steps(g, gr, s):
+    """Each solver's step, a stack of one at state s (W None for the baseline) and scratch."""
+    for step, W in ((_admm_plan(g, gr, AdmmConfig()), s.W[None].copy()),
+                    (_baseline_plan(g, gr, (0.05,)), None)):
+        X = s.X[None].copy()
+        yield (step, X, W, *scratch(X))
 
 
 def test_steady_state_step_allocates_no_matrix():
     n = 200
     g, gr = random_quadratic_game(n, seed=0), ring(n)
-    s, step = init_state(g, gr, np.linspace(-1, 1, n)), _admm_plan(g, gr, AdmmConfig())
-    X, W = s.X[None], s.W[None]
-    tracemalloc.start()
-    try:
-        for _ in range(2):  # the plan takes its arrays on the first steps
-            X, W = step(X, W, [0], g.own_gradients(X))
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        for _ in range(10):
-            X, W = step(X, W, [0], g.own_gradients(X))
-        grown = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # fresh arrays per step would grow it by about three n-by-n matrices
-    assert grown < n * n * 8
+    s = init_state(g, gr, np.linspace(-1, 1, n))
+    for step, X, W, S, T in _both_steps(g, gr, s):
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # the graph builds its gather indices on the first step
+                step(X, W, S, T, [0], g.own_gradients(X))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                step(X, W, S, T, [0], g.own_gradients(X))
+            grown = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # fresh arrays per step would grow it by at least one n-by-n matrix
+        assert grown < n * n * 8
 
 
-def test_first_step_keeps_two_matrices():
-    # the plan holds the neighbor sums and the W increment; the new X goes over the old
+def test_first_step_keeps_no_matrix():
+    # the loop owns the scratch arrays, and the new X goes over the old
     n = 200
     g, gr = random_quadratic_game(n, seed=0), ring(n)
-    s, step = init_state(g, gr, np.linspace(-1, 1, n)), _admm_plan(g, gr, AdmmConfig())
-    X, W = s.X[None], s.W[None]
-    grads = g.own_gradients(X)
+    s = init_state(g, gr, np.linspace(-1, 1, n))
+    gr.neighbor_sums(s.X, *scratch(s.X))  # the graph builds its gather indices once
+    for step, X, W, S, T in _both_steps(g, gr, s):
+        grads = g.own_gradients(X)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            returned = step(X, W, S, T, [0], grads)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # a plan holding its own scratch would keep two n-by-n matrices; not even a row
+        assert kept < n * 8
+        assert returned is None
+
+
+def test_run_peaks_at_six_matrices():
+    # X, W, the loop's two scratch arrays and the result's copies of X and W:
+    # measured at 6.042 n-by-n arrays
+    n = 200
+    game, graph = random_quadratic_game(n, 0), ring(n)
+    cfg = AdmmConfig(max_iter=100, record_every=100, tol_consensus=1e-30, tol_residual=1e-30)
+    run(game, graph, cfg)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        X_new, W_new = step(X, W, [0], grads)
-        kept = tracemalloc.get_traced_memory()[0] - base
+        run(game, graph, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept < 2.5 * n * n * 8
-    assert X_new is X and W_new is W
+    assert peak <= 6.05 * n * n * 8
 
 
 # the scalar path (every degree equal) and the column path, and a stack that
@@ -248,12 +294,12 @@ def test_step_is_the_reference_step_bit_for_bit(case):
     game, graph, cfg, m = _REFERENCE_CASES[case]()
     X, W = seeded_states(m, graph.n, seed=len(case), nan_member=1 if m > 1 else None)
     Xr, Wr = X.copy(), W.copy()
-    step, live = _admm_plan(game, graph, cfg), list(range(m))
+    step, live, (S, T) = _admm_plan(game, graph, cfg), list(range(m)), scratch(X)
     for k in range(300):
         if k == 150 and m > 1:  # member 1, whose NaN has spread, leaves the stack
             live = [0, 2]
-            X, W, Xr, Wr = X[live], W[live], Xr[live], Wr[live]
-        X, W = step(X, W, live, game.evaluate(X)[0])
+            X, W, Xr, Wr, S, T = X[live], W[live], Xr[live], Wr[live], S[:2], T[:2]
+        step(X, W, S, T, live, game.evaluate(X)[0])
         Xr, Wr = reference_admm_step(Xr, Wr, game.evaluate(Xr)[0], game, graph, cfg)
         assert (X.tobytes(), W.tobytes()) == (Xr.tobytes(), Wr.tobytes()), k
     assert np.isfinite(X).all() and np.isfinite(W).all()
@@ -307,15 +353,16 @@ print(peak() - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read on Linux")
 def test_back_to_back_solves_keep_peak_memory_flat():
-    """A finished solve leaves nothing behind: a plan caught in a reference
-    cycle would hold its two n-by-n arrays (640 KB at n = 200) until the
-    garbage collector runs, and each solve would raise the peak by that."""
+    """A finished solve leaves nothing behind: a step caught in a reference
+    cycle with the loop's two scratch arrays would hold them (640 KB at
+    n = 200) until the garbage collector runs, and each solve would raise the
+    peak by that."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 640  # KB: one plan's arrays, over three solves
+    assert int(proc.stdout) < 640  # KB: one solve's scratch arrays, over three solves
 
 
 # ------------------------------------------------------- unsimplified form
@@ -346,9 +393,10 @@ def test_forms_agree_and_w_reconstructs():
     cfg = AdmmConfig(c=1.4, beta=(0.5, 1.0, 2.0, 1.5, 0.8))
     s, step = init_state(g, gr, np.linspace(-1, 1, 5)), _admm_plan(g, gr, cfg)
     X, W = s.X[None], s.W[None]
+    S, T = scratch(X)
     ds = init_dual_state(g, gr, np.linspace(-1, 1, 5))
     for k in range(200):
-        X, W = step(X, W, [0], g.own_gradients(X))
+        step(X, W, S, T, [0], g.own_gradients(X))
         ds = unsimplified_step(ds, g, gr, cfg)
         assert np.max(np.abs(X[0] - ds.X)) <= 1e-9
         assert np.max(np.abs(W[0] - dual_w_matrix(ds, gr))) <= 1e-9

@@ -39,6 +39,13 @@ def test_config_validation():
         BaselineConfig(record_every=0)
     with pytest.raises(TypeError):
         BaselineConfig(gamma=0.1)  # the sweep is the one step-size setting
+    for sweep in (0.1, [[0.1, 0.2]]):
+        with pytest.raises(SettingError) as exc:
+            BaselineConfig(sweep=sweep)
+        assert (exc.value.field, exc.value.reason) == ("sweep", "must be a list of step sizes")
+    for field in ("max_iter", "record_every"):
+        with pytest.raises(SettingError, match=f"^{field} must be an integer"):
+            BaselineConfig(**{field: 2.5})
     assert BaselineConfig(sweep=[1, 0.5]).sweep == (1.0, 0.5)
 
 
@@ -49,12 +56,14 @@ def test_config_rejects_a_non_finite_step_size(gamma):
 
 
 # ------------------------------------------------------------ the step
-# The step advances a stack of estimate matrices; each test steps a stack of one.
+# The step advances a stack of estimate matrices in place; each test steps a
+# stack of one.
 
 def step_once(X, game, graph, gamma):
-    step = _baseline_plan(game, graph, (gamma,))
-    (X_new,), _ = step(X[None], None, [0], game.own_gradients(X[None]))
-    return X_new
+    X_new = X[None].copy()
+    S, T = np.empty_like(X_new), np.empty_like(X_new)
+    _baseline_plan(game, graph, (gamma,))(X_new, None, S, T, [0], game.own_gradients(X_new))
+    return X_new[0]
 
 
 def averaged(X, graph):
@@ -136,11 +145,12 @@ def test_step_is_the_reference_step_bit_for_bit(case):
     X = seeded_states(m, graph.n, seed=len(case), nan_member=1 if m > 1 else None)[0]
     Xr = X.copy()
     step, live = _baseline_plan(game, graph, gammas), list(range(m))
+    S, T = np.empty_like(X), np.empty_like(X)
     for k in range(300):
         if k == 150 and m > 1:  # member 1, whose NaN has spread, leaves the stack
             live = [0, 2]
-            X, Xr = X[live], Xr[live]
-        X, _ = step(X, None, live, game.evaluate(X)[0])
+            X, Xr, S, T = X[live], Xr[live], S[:2], T[:2]
+        step(X, None, S, T, live, game.evaluate(X)[0])
         Xr = reference_baseline_step(Xr, game.evaluate(Xr)[0], game, graph,
                                      [gammas[g] for g in live])
         assert X.tobytes() == Xr.tobytes(), k

@@ -619,6 +619,12 @@ def test_check_bad_flag_is_rejected_before_the_report(tmp_path, capsys, flag, me
     (None, ONE_PLAYER,
      "graph: needs at least 2 nodes (a single-player game is plain minimization)"),
     ("graph", {"type": "ring", "n": 4}, "game: player count disagrees with graph size"),
+    ("game", {"type": "wanet", "routes": []}, "game.routes: must list at least one route"),
+    ("graph", {"type": "explicit", "n": 15, "edges": [[0, 20]]},
+     "graph: edge (0,20) out of range for n=15"),
+    (None, {**ONE_PLAYER, "graph": {"type": "ring", "n": 1}}, "graph: ring needs n >= 2"),
+    (None, {**ONE_PLAYER, "graph": {"type": "random", "n": 1}},
+     "graph: random connected graph needs n >= 2"),
 ])
 def test_check_bad_block_is_rejected_before_the_report(tmp_path, capsys, monkeypatch, block,
                                                        value, message):

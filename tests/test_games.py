@@ -93,6 +93,8 @@ def test_quadratic_validation():
         QuadraticGame(2.0, np.zeros((1, 1)), [0.0], ActionBox.cube(1, -1, 1))
     with pytest.raises(ValueError):
         QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, np.nan], box)
+    with pytest.raises(ValueError, match="action box size disagrees with player count"):
+        QuadraticGame([1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0], ActionBox.cube(3, -1, 1))
 
 
 def test_quadratic_ne_decoupled():
@@ -436,6 +438,8 @@ def test_wanet_validation():
             WanetGame(caps, [[0]])
     with pytest.raises(ValueError):
         WanetGame([1.0], [[0]], kappa=np.inf)
+    with pytest.raises(ValueError, match="action box size disagrees with user count"):
+        WanetGame([1.0], [[0]], action_box=ActionBox.cube(2, 0.0, 1.0))
 
 
 def test_wanet_convex_along_own_coordinate(wanet_default):

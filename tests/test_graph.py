@@ -27,6 +27,8 @@ def test_neighbors_path_interior():
 def test_no_self_loops():
     with pytest.raises(ValueError):
         CommGraph(3, frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match="graph needs at least one node"):
+        CommGraph(0)
 
 
 def test_edge_normalization():
@@ -148,7 +150,8 @@ def test_neighbor_sums_bitwise(graph):
     X = rng.standard_normal((graph.n, graph.n))
     X[rng.random(X.shape) < 0.2] = -0.0
     # bytes, not values: -0.0 == 0.0, and the loop's sums of -0.0 alone are +0.0
-    assert graph.neighbor_sums(X).tobytes() == neighbor_sums_loop(X, graph).tobytes()
+    S = graph.neighbor_sums(X, np.empty_like(X), np.empty_like(X))
+    assert S.tobytes() == neighbor_sums_loop(X, graph).tobytes()
 
 
 @pytest.mark.parametrize("graph", [
@@ -159,14 +162,12 @@ def test_stacked_neighbor_sums_bitwise(graph):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((3, graph.n, graph.n))
     X[rng.random(X.shape) < 0.2] = -0.0
-    S = graph.neighbor_sums(X)
-    assert S.shape == X.shape
+    # the sums go into the given arrays, whatever they held
+    out, work = np.full_like(X, np.nan), np.full_like(X, np.nan)
+    S = graph.neighbor_sums(X, out=out, work=work)
+    assert S is out and S.shape == X.shape
     for g in range(3):
         assert S[g].tobytes() == neighbor_sums_loop(X[g], graph).tobytes()
-    # the same bytes written into given arrays, whatever they held
-    out, work = np.full_like(X, np.nan), np.full_like(X, np.nan)
-    assert graph.neighbor_sums(X, out=out, work=work) is out
-    assert out.tobytes() == S.tobytes()
 
 
 def test_degree_adjacency_consistency():

@@ -63,7 +63,7 @@ def test_consensus_error_runs_only_where_it_is_read(monkeypatch):
         return residuals[-1]
 
     def error(X, graph):
-        calls.append(len(residuals) - 1)  # the iteration the loop is judging
+        calls.append((len(residuals) - 1, X.shape))  # the iteration the loop is judging
         return consensus_error(X, graph)
 
     monkeypatch.setattr(loop, "_fixed_point_gap", residual)
@@ -74,7 +74,18 @@ def test_consensus_error_runs_only_where_it_is_read(monkeypatch):
     close = {k for k in range(1, end + 1) if residuals[k][0] <= cfg.tol_residual}
     recorded = {*range(0, end + 1, cfg.record_every), end}
     assert len(close) == 99 and len(recorded) == 7
-    assert calls == sorted(close | recorded)
+    assert calls == [(k, (1, 8, 8)) for k in sorted(close | recorded)]
+    # a sweep whose members stop at different iterations: at most one call an
+    # iteration, always on the whole live stack, off the record grid too
+    residuals.clear()
+    calls.clear()
+    runs = run_baseline(game, graph, BaselineConfig(sweep=(0.2, 0.1, 0.05), **{
+        f: getattr(cfg, f) for f in ("tol_consensus", "tol_residual", "record_every")}))
+    ends = [r.state.k for r in runs]
+    assert ends == [579, 603, 658] and {r.reason for r in runs} == {"converged"}
+    ks = [k for k, _ in calls]
+    assert ks == sorted(set(ks)) and sum(k % cfg.record_every != 0 for k in ks) == 348
+    assert all(shape == (sum(e >= k for e in ends), 8, 8) for k, shape in calls)
 
 
 @pytest.mark.parametrize("solver", ["run", "sweep"])
