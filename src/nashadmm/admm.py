@@ -21,8 +21,8 @@ import numpy as np
 
 from .games import GameModel
 from .graph import CommGraph
-from .loop import (RunResult, SettingError, SolverState, StopRule, _check, _drive, check_graph,
-                   init_state)
+from .loop import (RunResult, SettingError, SolverState, StopRule, _check, _drive, _floats,
+                   check_graph, check_problem, init_state)
 
 __all__ = [
     "AdmmConfig",
@@ -48,12 +48,12 @@ class AdmmConfig(StopRule):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "c", float(_floats(self.c, "c", "must be a number")))
         _check(self.c > 0, "c", "must be positive")
-        b = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        _check(b.ndim == 1 and b.size > 0 and np.all(b > 0) and np.all(np.isfinite(b)), "beta",
-               "must be a positive number or a nonempty list of them")
-        beta = float(b[0]) if np.ndim(self.beta) == 0 else tuple(float(x) for x in b)
-        object.__setattr__(self, "beta", beta)
+        reason = "must be a positive number or a nonempty list of them"
+        b = _floats(self.beta, "beta", reason, (0, 1))
+        _check(b.size > 0 and np.all(b > 0) and np.all(np.isfinite(b)), "beta", reason)
+        object.__setattr__(self, "beta", float(b) if b.ndim == 0 else tuple(b.tolist()))
 
     def beta_vector(self, n: int) -> np.ndarray:
         b = np.asarray(self.beta, dtype=float)
@@ -126,8 +126,8 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
 
 def run(game: GameModel, graph: CommGraph, cfg: AdmmConfig, x0=None) -> RunResult:
     """Iterate the step from x0 until both tolerances hold or the budget ends."""
-    state, step = init_state(game, graph, x0), _admm_plan(game, graph, cfg)
-    return _drive(state.X[None], state.W[None], step, game, graph, cfg)[0]
+    x0 = check_problem(game, graph, x0)  # the gate's checks come before the plan's
+    return _drive(x0, 1, _admm_plan(game, graph, cfg), game, graph, cfg)[0]
 
 
 def condition_threshold(cfg: AdmmConfig, graph: CommGraph) -> float:

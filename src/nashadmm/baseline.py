@@ -16,7 +16,7 @@ import numpy as np
 from .admm import AdmmConfig, _step_weights, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
-from .loop import RunResult, StopRule, _check, _drive, init_state
+from .loop import RunResult, StopRule, _check, _drive, _floats, check_problem
 
 __all__ = [
     "BaselineConfig",
@@ -34,8 +34,7 @@ class BaselineConfig(StopRule):
 
     def __post_init__(self):
         super().__post_init__()
-        _check(np.ndim(self.sweep) == 1, "sweep", "must be a list of step sizes")
-        sweep = tuple(float(g) for g in self.sweep)
+        sweep = tuple(_floats(self.sweep, "sweep", "must be a list of step sizes", (1,)).tolist())
         _check(len(sweep) > 0, "sweep", "must list at least one step size")
         _check(all(0 < g < np.inf for g in sweep), "sweep",
                "step sizes must be positive and finite")
@@ -46,8 +45,8 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     """The step on a stack of estimate matrices, member g stepping by gammas[g]:
     averaging on the non-own coordinates, projected gradient on the own one,
     along `grads`, the rows' own gradients from the loop's evaluation of X.
-    It keeps no duals, so W is None, and it writes the new estimates over X,
-    with S and T, the loop's two scratch arrays, holding the neighbor sums.
+    It keeps no duals, so it leaves W at zero, and it writes the new estimates
+    over X, with S and T, the loop's two scratch arrays, holding the neighbor sums.
 
     Row i of the average is the mean of {x^j : j in N_i union {i}}. The mixing
     matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
@@ -56,7 +55,7 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     deg_plus_1 = graph.row_degrees() + 1.0
     gamma_col = np.asarray(gammas, dtype=float)[:, None]
 
-    def step(X: np.ndarray, W: None, S: np.ndarray, T: np.ndarray, live, grads) -> None:
+    def step(X: np.ndarray, W: np.ndarray, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         own = X.diagonal(0, -2, -1) - gamma_col[live] * grads
         graph.neighbor_sums(X, out=S, work=T)
         np.divide(np.add(S, X, out=S), deg_plus_1, out=X)
@@ -70,8 +69,7 @@ def run_baseline(game: GameModel, graph: CommGraph, cfg: BaselineConfig,
                  x0=None) -> list[RunResult]:
     """One run per step size in cfg.sweep, all from x0 under the same stopping
     rule as the ADMM run, stepped as one stack."""
-    X = init_state(game, graph, x0).X
-    return _drive(X[None].repeat(len(cfg.sweep), axis=0), None,
+    return _drive(check_problem(game, graph, x0), len(cfg.sweep),
                   _baseline_plan(game, graph, cfg.sweep), game, graph, cfg)
 
 

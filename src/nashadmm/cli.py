@@ -121,10 +121,12 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as f:
             cfg = json.load(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("config", f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON: {e}")
+    except RecursionError:
+        raise ConfigError("config", "invalid JSON: nested too deeply")
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
     return cfg
@@ -212,8 +214,11 @@ def build_admm(block: dict, game, graph: CommGraph):
     return cfg, x0
 
 
-def _output_dir(cfg: dict, flag_value) -> Path:
-    """The trace directory, created if missing; errors name where its path came from."""
+def _output_dir(cfg: dict, flag_value, *traces: str) -> list[Path]:
+    """The paths of the trace files in the output directory, the directory
+    created if missing and each file opened for appending, so a trace that
+    cannot be written stops the command before the solve, leaving no file it
+    made; errors name where the directory's path came from."""
     env = os.environ.get("NASHADMM_OUTPUT_DIR")
     source, d = (("--output-dir", flag_value) if flag_value else
                  ("NASHADMM_OUTPUT_DIR", env) if env else
@@ -224,7 +229,16 @@ def _output_dir(cfg: dict, flag_value) -> Path:
         Path(d).mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(source, f"cannot create directory {d}: {e.strerror}")
-    return Path(d)
+    paths = [Path(d) / name for name in traces]
+    made = [path for path in paths if not os.path.lexists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+    except OSError as e:
+        for p in made:
+            p.unlink(missing_ok=True)
+        raise ConfigError(source, f"cannot write {path}: {e.strerror}")
+    return paths
 
 
 def write_trace(path: Path, records, timing: bool = False):
@@ -271,10 +285,8 @@ def _setup(args):
 
 def cmd_run(args) -> int:
     cfg, graph, game, admm_cfg, x0 = _setup(args)
-    out = _output_dir(cfg, args.output_dir)
+    trace, = _output_dir(cfg, args.output_dir, "trace.csv")
     result = run(game, graph, admm_cfg, x0=x0)
-
-    trace = out / "trace.csv"
     write_trace(trace, result.records, timing=args.timing)
 
     final = result.records[-1]
@@ -304,11 +316,8 @@ def cmd_compare(args) -> int:
                 "compare.tol")
     if not tol > 0:
         raise ConfigError("compare.tol", "must be positive")
-    out = _output_dir(cfg, args.output_dir)
+    trace_a, trace_b = _output_dir(cfg, args.output_dir, "trace_admm.csv", "trace_baseline.csv")
     report = compare(game, graph, admm_cfg, baseline_cfg, tol, x0=x0)
-
-    trace_a = out / "trace_admm.csv"
-    trace_b = out / "trace_baseline.csv"
     write_trace(trace_a, report.admm_result.records, timing=args.timing)
     write_trace(trace_b, report.baseline_result.records, timing=args.timing)
     _emit(tol=tol, admm_reason=report.admm_reason, admm_iterations=report.admm_iterations,

@@ -4,6 +4,7 @@ single run is a stack of one."""
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -27,6 +28,20 @@ def _check(ok: bool, field: str, reason: str) -> None:
         raise SettingError(field, reason)
 
 
+def _floats(value, field: str, reason: str, ndims: tuple = (0,)) -> np.ndarray:
+    """A float setting as an array of one of `ndims` dimensions: a Python or
+    numpy real number, or a regular nest of lists of them. A bool, a string,
+    None, a ragged list or a number beyond float raises SettingError(field, reason)."""
+    a = np.asarray(value, dtype=object)
+    try:
+        if a.ndim in ndims and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                   for x in a.flat):
+            return a.astype(float)
+    except OverflowError:
+        pass
+    raise SettingError(field, reason)
+
+
 @dataclass(frozen=True, kw_only=True)
 class StopRule:
     """Both solvers stop once consensus error (the primal residual of Boyd et
@@ -42,8 +57,9 @@ class StopRule:
         for f in ("max_iter", "record_every"):  # Python or numpy ints; numpy's bool is no integer
             _check(np.issubdtype(type(getattr(self, f)), np.integer), f, "must be an integer")
         _check(self.max_iter >= 0, "max_iter", "must be nonnegative")
-        _check(self.tol_consensus > 0, "tol_consensus", "must be positive")
-        _check(self.tol_residual > 0, "tol_residual", "must be positive")
+        for f in ("tol_consensus", "tol_residual"):
+            object.__setattr__(self, f, float(_floats(getattr(self, f), f, "must be a number")))
+            _check(getattr(self, f) > 0, f, "must be positive")
         _check(self.record_every >= 1, "record_every", "must be at least 1")
 
 
@@ -107,20 +123,21 @@ def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: CommGraph,
+def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph,
            stop: StopRule) -> list[RunResult]:
-    """Step, measure, record and stop each member of a stack on its own.
+    """Step, measure, record and stop each of `members` runs from x0 on its own.
 
-    X and W (None for a solver without duals) hold one state per member on
-    axis 0; `step(X, W, S, T, live, grads)` advances them in place, with S and
-    T scratch of X's shape, `live` each row's index in the original stack and
-    `grads` the rows' own gradients at X. The loop owns every array of that
-    shape: the caller hands X and W over, a result holds copies, and a stopped
-    member leaves the stack, which keeps the others' rows and the scratch's
-    leading rows. A member whose step produced a non-finite value stops as
-    "diverged", with no floating-point warning: an overflow ends as a clipped
-    step or as that stop. The others go on as if they ran alone, each with
-    its own records. A record's `elapsed` is the whole stack's wall clock.
+    The loop builds the state, a (2, members, n, n) array Z: X = Z[0] has x0
+    (a profile `check_problem` passed) in every row and W = Z[1] is zero, so
+    every member has a W. `step(X, W, S, T, live, grads)` advances both in
+    place, with S and T scratch of X's shape, `live` each row's index in the
+    original stack and `grads` the rows' own gradients at X. The loop owns
+    them all: a result holds copies, and a stopped member leaves the stack,
+    which keeps the others' states and the scratch's leading rows. A member
+    with a non-finite value in X or W (one check over Z) stops as "diverged",
+    with no floating-point warning: an overflow ends as a clipped step or as
+    that stop. The others go on as if they ran alone, each with its own
+    records. A record's `elapsed` is the whole stack's wall clock.
 
     The game is evaluated once per iteration, for the whole stack
     (`game.evaluate(X)`): the step's gradients, the equilibrium residual (the
@@ -131,9 +148,11 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
     has its residual within tolerance, since convergence needs both.
     """
     t0 = time.perf_counter()
+    X, W = Z = np.zeros((2, members, x0.size, x0.size))
+    X[:] = x0
     S, T = np.empty_like(X), np.empty_like(X)
-    k, live, finite = 0, list(range(X.shape[0])), [True] * X.shape[0]
-    records, results = [[] for _ in live], [None] * len(live)
+    k, live, finite = 0, list(range(members)), [True] * members
+    records, results = [[] for _ in live], [None] * members
     while True:
         actions = X.diagonal(0, -2, -1)
         grads, pseudo, guards = game.evaluate(X)
@@ -152,8 +171,7 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
                 records[m].append(IterationRecord(
                     k, actions[g].copy(), ce[g], nr[g], guards[g], elapsed))
             if last:
-                dual = np.zeros_like(X[g]) if W is None else W[g].copy()
-                state = SolverState(X[g].copy(), dual, k)
+                state = SolverState(X[g].copy(), W[g].copy(), k)
                 reason = "converged" if converged else "iteration budget" if ok else "diverged"
                 results[m] = RunResult(state, records[m], reason)
             else:
@@ -161,9 +179,8 @@ def _drive(X: np.ndarray, W: np.ndarray | None, step, game: GameModel, graph: Co
         if not keep:
             return results
         if len(keep) < len(live):
-            live, X, grads = [live[g] for g in keep], X[keep], grads[keep]
-            W, S, T = None if W is None else W[keep], S[:len(keep)], T[:len(keep)]
+            live, Z, grads = [live[g] for g in keep], Z[:, keep], grads[keep]
+            (X, W), S, T = Z, S[:len(keep)], T[:len(keep)]
         step(X, W, S, T, live, grads)
         k += 1
-        finite = np.isfinite(X).all(axis=(-2, -1))
-        finite = (finite if W is None else finite & np.isfinite(W).all(axis=(-2, -1))).tolist()
+        finite = np.isfinite(Z).all(axis=(0, 2, 3)).tolist()

@@ -66,6 +66,15 @@ def test_config_validation():
     for beta in ([[1.0]], [[1.0, 2.0]]):
         with pytest.raises(SettingError, match="^beta "):
             AdmmConfig(beta=beta)
+    # a float setting is a real number: no bool, string, None or ragged list
+    for field, value in [("c", True), ("beta", True), ("tol_residual", True), ("c", "1"),
+                         ("tol_consensus", "x"), ("tol_consensus", None), ("beta", [1.0, [2.0]]),
+                         ("beta", "abc"), ("beta", [1.0, True]), ("c", 10**400)]:
+        with pytest.raises(SettingError) as exc:
+            AdmmConfig(**{field: value})
+        assert exc.value.field == field
+    cfg = AdmmConfig(c=np.float32(0.5), beta=[1, np.int64(2)], tol_residual=np.float64(1e-3))
+    assert (cfg.c, cfg.beta, cfg.tol_residual) == (0.5, (1.0, 2.0), 1e-3)
 
 
 def test_config_beta_vector():

@@ -47,6 +47,11 @@ def test_config_validation():
         with pytest.raises(SettingError, match=f"^{field} must be an integer"):
             BaselineConfig(**{field: 2.5})
     assert BaselineConfig(sweep=[1, 0.5]).sweep == (1.0, 0.5)
+    for sweep in ([True], ["0.1"], [None], [0.1, [0.2]]):
+        with pytest.raises(SettingError) as exc:
+            BaselineConfig(sweep=sweep)
+        assert (exc.value.field, exc.value.reason) == ("sweep", "must be a list of step sizes")
+    assert BaselineConfig(sweep=np.array([0.2, 0.1]), tol_consensus=1).sweep == (0.2, 0.1)
 
 
 @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])

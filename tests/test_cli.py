@@ -216,6 +216,31 @@ def test_output_dir_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatc
         assert capsys.readouterr().err.startswith(f"error: {source}: ")
 
 
+@pytest.mark.parametrize("source", ["config.output_dir", "--output-dir", "NASHADMM_OUTPUT_DIR"])
+@pytest.mark.parametrize("command, trace", [("run", "trace.csv"),
+                                            ("compare", "trace_baseline.csv")])
+def test_trace_naming_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch, source,
+                                                    command, trace):
+    # rejected before the solve, which never starts, and no trace is left
+    monkeypatch.delenv("NASHADMM_OUTPUT_DIR", raising=False)
+    for solver in ("run", "compare"):
+        monkeypatch.setattr(cli, solver, lambda *a, **k: pytest.fail("the solve started"))
+    out = tmp_path / "out"
+    (out / trace).mkdir(parents=True)
+    cfg, flag = {**copy.deepcopy(QUAD), "baseline": {}}, []
+    if source == "config.output_dir":
+        cfg["output_dir"] = str(out)
+    elif source == "--output-dir":
+        flag = ["--output-dir", str(out)]
+    else:
+        monkeypatch.setenv("NASHADMM_OUTPUT_DIR", str(out))
+    assert cli.main([command, write_cfg(tmp_path, cfg), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {source}: cannot write {out / trace}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == [trace]
+
+
 # ------------------------------------------------------------- config errors
 
 def test_missing_game_block(tmp_path, capsys):
@@ -240,11 +265,12 @@ def test_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", None], ids=["top-level-list", "missing-file"])
+@pytest.mark.parametrize("text", [b"[1, 2]", None, b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["top-level-list", "missing-file", "not-utf-8", "nested-too-deep"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
     p = tmp_path / "cfg.json"
     if text is not None:
-        p.write_text(text)
+        p.write_bytes(text)
     rc = cli.main(["run", str(p), "--output-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: config: ")

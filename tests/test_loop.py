@@ -1,7 +1,8 @@
 """What the loop may skip or reuse cannot be seen from outside: the consensus
 error is computed only where it is read, the game is evaluated once per
-iteration for the step, the residual and the records, a result holds its own
-arrays, and the caller's start is left as it was."""
+iteration for the step, the residual and the records, one finite check over
+the whole state stops a member whose W alone is non-finite, a result holds its
+own arrays, and the caller's start is left as it was."""
 
 import itertools
 from dataclasses import replace
@@ -22,6 +23,7 @@ from nashadmm import (
     run,
     run_baseline,
 )
+from nashadmm.admm import _admm_plan
 
 
 def _record_bits(r):
@@ -118,6 +120,29 @@ def test_wanet_loop_evaluates_the_game_once_per_iteration(monkeypatch, solver):
         assert ends == [2079, 2056, 2100]
     assert not hasattr(game, "guard_activations")
     assert calls == [(sum(end >= k for end in ends), 15, 15) for k in range(max(ends) + 1)]
+
+
+def test_a_member_whose_w_alone_turns_non_finite_stops_as_diverged():
+    # the finite check covers W as well as X; the other members run as if alone
+    game, graph = random_quadratic_game(8, 1), ring(8)
+    cfg = AdmmConfig(max_iter=60, record_every=10, tol_consensus=1e-30, tol_residual=1e-30)
+    admm, steps = _admm_plan(game, graph, cfg), []
+
+    def step(X, W, S, T, live, grads):
+        admm(X, W, S, T, live, grads)
+        steps.append(live)
+        if len(steps) == 25:  # the step to k = 25
+            W[live.index(1), 3, 5] = np.inf
+
+    stack = loop._drive(np.zeros(8), 3, step, game, graph, cfg)
+    alone = run(game, graph, cfg)
+    bad = stack[1]
+    assert (bad.reason, bad.state.k) == ("diverged", 25)
+    assert np.isfinite(bad.state.X).all() and np.isinf(bad.state.W[3, 5])
+    assert steps[24:26] == [[0, 1, 2], [0, 2]]
+    for r in (stack[0], stack[2]):
+        assert _state_bits(r) == _state_bits(alone)
+        assert [_record_bits(x) for x in r.records] == [_record_bits(x) for x in alone.records]
 
 
 def test_sweep_results_share_no_memory():
