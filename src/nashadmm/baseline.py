@@ -113,7 +113,7 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     base_res, base_iters, reasons = runs[b], sweep_results[b][2], {r.reason for r in runs}
     base_reason = "converged" if done else "diverged" if "diverged" in reasons \
         else "iteration budget"
-    del runs  # the unreported runs' records go before the ADMM run adds its own
+    del runs  # the unreported runs' states go before the ADMM run adds its own
     admm_result = admm_run(game, graph, a_cfg, x0=x0)
     admm_iters = admm_result.state.k if admm_result.reason == "converged" else None
     ratio = None if admm_iters is None else float("inf") if base_iters is None \

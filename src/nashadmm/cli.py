@@ -25,7 +25,7 @@ from .admm import AdmmConfig, _step_weights, condition_threshold, run
 from .baseline import BaselineConfig, compare
 from .games import ActionBox, QuadraticGame, WanetGame, default_wanet_instance, quadratic_sigma_f
 from .graph import CommGraph, complete, path, random_connected_graph, ring
-from .loop import SettingError, check_problem
+from .loop import Records, SettingError, check_problem
 
 TRACE_COLUMNS = ["k", "player", "action", "consensus_error", "ne_residual",
                  "guard_activations", "elapsed_us"]
@@ -241,21 +241,25 @@ def _output_dir(cfg: dict, flag_value, *traces: str) -> list[Path]:
     return paths
 
 
-def write_trace(path: Path, records, timing: bool = False):
+def write_trace(path: Path, records: Records, timing: bool = False):
     """Long-format CSV: one row per recorded iteration per player, each ended
-    by CRLF as csv.writer ends it.
+    by CRLF as csv.writer ends it. The records' columns are read a few
+    thousand values at a time, one `tolist` per column, so the Python floats
+    of a long trace never exist all at once.
 
     Floats are serialized with repr so identical runs produce identical bytes;
     elapsed_us is 0 unless timing is requested, for the same reason.
     """
+    chunk = max(1, 4096 // records.actions.shape[-1])  # rows of about 4096 actions in all
     with open(path, "w", newline="") as f:
         f.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for r in records:
-            us = int(round(r.elapsed * 1e6)) if timing else 0
-            ce, nr = float(r.consensus_error), float(r.ne_residual)
-            tail = f"{ce!r},{nr!r},{r.guard_activations},{us}\r\n"
-            actions = r.actions.tolist()
-            f.write("".join(f"{r.k},{i},{a!r},{tail}" for i, a in enumerate(actions)))
+        for s in range(0, len(records), chunk):
+            columns = (getattr(records, field.name)[s:s + chunk].tolist()
+                       for field in fields(records))
+            for k, actions, ce, nr, guards, elapsed in zip(*columns):
+                us = int(round(elapsed * 1e6)) if timing else 0
+                tail = f"{ce!r},{nr!r},{guards},{us}\r\n"
+                f.write("".join(f"{k},{i},{a!r},{tail}" for i, a in enumerate(actions)))
 
 
 def _fmt(v) -> str:

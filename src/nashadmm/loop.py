@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numbers
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +79,41 @@ class SolverState:
     k: int
 
 
+@dataclass(eq=False, slots=True)
+class Records(Sequence):
+    """A table of recorded iterations: six columns named as IterationRecord's
+    fields, row i of each holding the i-th record, `actions` (rows, n) and the
+    others (rows,). `records[i]` (a negative i too) reads row i as an
+    IterationRecord whose actions are a view of the column."""
+
+    k: np.ndarray
+    actions: np.ndarray
+    consensus_error: np.ndarray
+    ne_residual: np.ndarray
+    guard_activations: np.ndarray
+    elapsed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i) -> IterationRecord:
+        return IterationRecord(int(self.k[i]), self.actions[i], float(self.consensus_error[i]),
+                               float(self.ne_residual[i]), int(self.guard_activations[i]),
+                               float(self.elapsed[i]))
+
+
 @dataclass
 class RunResult:
     """Terminal state plus the sampled trace and why iteration stopped.
 
-    reason is one of "converged", "iteration budget", "diverged"; a diverged
-    run's state.k is the iteration that first produced a non-finite value.
+    records is a Records table whose columns are views of the rows the loop
+    wrote for this run. reason is one of "converged", "iteration budget",
+    "diverged"; a diverged run's state.k is the iteration that first produced
+    a non-finite value.
     """
 
     state: SolverState
-    records: list
+    records: Records
     reason: str
 
 
@@ -122,6 +148,18 @@ def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
     return SolverState(X=X, W=np.zeros_like(X), k=0)
 
 
+# bytes of record columns allocated up front at most; a longer run grows them
+_RECORD_BUDGET = 1 << 23
+
+
+def _record_block(members: int, rows: int, n: int) -> list[np.ndarray]:
+    """Empty record columns in IterationRecord's field order, (members, rows)
+    each and (members, rows, n) for the actions."""
+    shape = (members, rows)
+    return [np.empty(shape, int), np.empty((*shape, n)), np.empty(shape), np.empty(shape),
+            np.empty(shape, int), np.empty(shape)]
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph,
            stop: StopRule) -> list[RunResult]:
@@ -130,14 +168,23 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     The loop builds the state, a (2, members, n, n) array Z: X = Z[0] has x0
     (a profile `check_problem` passed) in every row and W = Z[1] is zero, so
     every member has a W. `step(X, W, S, T, live, grads)` advances both in
-    place, with S and T scratch of X's shape, `live` each row's index in the
-    original stack and `grads` the rows' own gradients at X. The loop owns
-    them all: a result holds copies, and a stopped member leaves the stack,
-    which keeps the others' states and the scratch's leading rows. A member
-    with a non-finite value in X or W (one check over Z) stops as "diverged",
-    with no floating-point warning: an overflow ends as a clipped step or as
-    that stop. The others go on as if they ran alone, each with its own
-    records. A record's `elapsed` is the whole stack's wall clock.
+    place, with S and T scratch of X's shape, `live` the list of each row's
+    index in the original stack and `grads` the rows' own gradients at X. The
+    loop owns them all: a result holds copies of its X and W, and a stopped
+    member leaves the stack, which keeps the others' states and the scratch's
+    leading rows. A member with a non-finite value in X or W (one check over
+    Z) stops as "diverged", with no floating-point warning: an overflow ends
+    as a clipped step or as that stop. The others go on as if they ran alone.
+    A record's `elapsed` is the whole stack's wall clock.
+
+    The records go into one block of six columns for the stack, member m's
+    row r at [m, r]: `actions` is (members, rows, n), the others (members,
+    rows). There is a row for each iteration of the record grid up to
+    max_iter and for an off-grid max_iter, up to _RECORD_BUDGET bytes at
+    first and grown past them if a run gets there. A recorded iteration
+    writes a row for every live member, through basic slices while none has
+    left; a member that stops off the grid writes its last record into its
+    own next row. A result's records are views of its member's rows.
 
     The game is evaluated once per iteration, for the whole stack
     (`game.evaluate(X)`): the step's gradients, the equilibrium residual (the
@@ -145,42 +192,58 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     records' guard counts all come from that call. The consensus error is
     computed, in one call for the whole stack, only on an iteration where some
     member reads it: a recorded one, or one where a member is non-finite or
-    has its residual within tolerance, since convergence needs both.
+    has its residual within tolerance, since convergence needs both. The stop
+    decision is taken on the whole stack at once; Python runs per member only
+    for a member that stops.
     """
-    t0 = time.perf_counter()
-    X, W = Z = np.zeros((2, members, x0.size, x0.size))
+    t0, n = time.perf_counter(), x0.size
+    X, W = Z = np.zeros((2, members, n, n))
     X[:] = x0
     S, T = np.empty_like(X), np.empty_like(X)
-    k, live, finite = 0, list(range(members)), [True] * members
-    records, results = [[] for _ in live], [None] * members
+    every, last_k = stop.record_every, stop.max_iter
+    rows = last_k // every + 1 + (last_k % every > 0)  # the grid and an off-grid max_iter
+    block = _record_block(members, min(rows, max(1, _RECORD_BUDGET // (members * (n + 5) * 8))), n)
+    k, r, ids, finite = 0, 0, np.arange(members), np.ones(members, bool)
+    live, ends = ids.tolist(), [None] * members
     while True:
         actions = X.diagonal(0, -2, -1)
         grads, pseudo, guards = game.evaluate(X)
-        nr, guards = _fixed_point_gap(actions, pseudo, game.action_box).tolist(), guards.tolist()
-        recorded = k % stop.record_every == 0 or k >= stop.max_iter
-        ce = consensus_error(X, graph).tolist() if recorded else None
-        keep, elapsed = [], time.perf_counter() - t0
-        for g, m in enumerate(live):
-            ok = finite[g]
-            close = k > 0 and ok and nr[g] <= stop.tol_residual
-            if ce is None and (close or not ok):  # for the whole stack, at its first reader
-                ce = consensus_error(X, graph).tolist()
-            converged = close and ce[g] <= stop.tol_consensus
-            last = not ok or converged or k >= stop.max_iter
-            if last or recorded:
-                records[m].append(IterationRecord(
-                    k, actions[g].copy(), ce[g], nr[g], guards[g], elapsed))
-            if last:
-                state = SolverState(X[g].copy(), W[g].copy(), k)
-                reason = "converged" if converged else "iteration budget" if ok else "diverged"
-                results[m] = RunResult(state, records[m], reason)
-            else:
-                keep.append(g)
-        if not keep:
-            return results
-        if len(keep) < len(live):
-            live, Z, grads = [live[g] for g in keep], Z[:, keep], grads[keep]
-            (X, W), S, T = Z, S[:len(keep)], T[:len(keep)]
+        nr = _fixed_point_gap(actions, pseudo, game.action_box)
+        del pseudo  # the residual's input only: not held to the run's end, where memory peaks
+        recorded = k % every == 0 or k >= last_k
+        close, stops = nr <= stop.tol_residual, []
+        # only a member out of budget, non-finite or close (after k = 0) can stop;
+        # Python's any and all read a list of a few bools faster than numpy's
+        can_stop = k >= last_k or not all(finite.tolist()) or k > 0 and any(close.tolist())
+        if recorded or can_stop:
+            ce = consensus_error(X, graph)
+        if can_stop:
+            converged = close & finite & (ce <= stop.tol_consensus) & (k > 0)
+            last = converged | ~finite | (k >= last_k)
+            stops = last.nonzero()[0].tolist()
+        if recorded or stops:
+            if r == block[0].shape[1]:
+                grown = _record_block(members, min(rows, 2 * r), n)
+                for new, old in zip(grown, block):
+                    new[:, :r] = old
+                block = grown
+            sel = slice(None) if recorded else last
+            at = slice(None) if recorded and len(live) == members else ids[sel]
+            for column, value in zip(block, (k, actions[sel], ce[sel], nr[sel], guards[sel],
+                                             time.perf_counter() - t0)):
+                column[at, r] = value
+        if stops:
+            for g in stops:
+                reason = "converged" if converged[g] else \
+                    "iteration budget" if finite[g] else "diverged"
+                ends[live[g]] = SolverState(X[g].copy(), W[g].copy(), k), r + 1, reason
+            if len(stops) == len(live):
+                return [RunResult(state, Records(*(c[m, :count] for c in block)), reason)
+                        for m, (state, count, reason) in enumerate(ends)]
+            keep = ~last
+            ids, Z, grads = ids[keep], Z[:, keep], grads[keep]
+            live, (X, W), S, T = ids.tolist(), Z, S[:len(ids)], T[:len(ids)]
+        r += recorded
         step(X, W, S, T, live, grads)
         k += 1
-        finite = np.isfinite(Z).all(axis=(0, 2, 3)).tolist()
+        finite = np.isfinite(Z).all(axis=(0, 2, 3))

@@ -18,7 +18,8 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
-    """One sampled iteration: actions plus the two stopping metrics.
+    """One sampled iteration: actions plus the two stopping metrics, a row of
+    a run's records (`loop.Records`), whose actions are a view of its column.
 
     `guard_activations` counts clamped congestion terms summed over players
     (always 0 for games without guards). `elapsed` is wall-clock seconds spent
@@ -41,6 +42,8 @@ def consensus_error(X: np.ndarray, graph: CommGraph):
     graph (vacuous maximum); NaN when an edge's difference is NaN.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim < 2:
+        raise ValueError(f"X must have shape (..., {graph.n}, N), one row per node; got {X.shape}")
     if X.shape[-2] != graph.n:
         raise ValueError("row count disagrees with graph size")
     i, j = graph.edge_index()
@@ -67,6 +70,9 @@ def ne_residual(x: np.ndarray, game: GameModel):
     at active bounds, while interior coordinates need F_i(x) = 0.
     """
     x = np.asarray(x, dtype=float)
+    n = game.n_players
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"x must have shape (..., {n}), one action per player; got {x.shape}")
     gap = _fixed_point_gap(x, game.pseudo_gradient(x), game.action_box)
     return float(gap) if x.ndim == 1 else gap
 

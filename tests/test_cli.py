@@ -2,6 +2,10 @@ import copy
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nashadmm import IterationRecord, cli, default_wanet_instance, random_quadratic_game
+from nashadmm.loop import Records
 
 
 QUAD = {
@@ -65,12 +70,12 @@ def test_run_budget_exit_two(tmp_path, capsys):
 
 def test_run_divergence_exit_one(tmp_path, capsys, monkeypatch):
     from nashadmm.admm import RunResult, SolverState
-    from nashadmm.metrics import IterationRecord
 
-    rec = IterationRecord(k=3, actions=np.zeros(3), consensus_error=float("nan"),
-                          ne_residual=float("nan"), guard_activations=0, elapsed=0.0)
+    rec = Records(k=np.array([3]), actions=np.zeros((1, 3)), consensus_error=np.array([np.nan]),
+                  ne_residual=np.array([np.nan]), guard_activations=np.array([0]),
+                  elapsed=np.array([0.0]))
     fake = RunResult(state=SolverState(np.zeros((3, 3)), np.zeros((3, 3)), 3),
-                     records=[rec], reason="diverged")
+                     records=rec, reason="diverged")
     monkeypatch.setattr(cli, "run", lambda *a, **k: fake)
     rc = cli.main(["run", write_cfg(tmp_path, QUAD), "--output-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -120,16 +125,14 @@ def _csv_writer_trace(path, records, timing):
 @pytest.mark.parametrize("timing", [False, True])
 def test_write_trace_bytes_match_csv_writer(tmp_path, timing):
     odd = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
-    records = [
-        IterationRecord(k=0, actions=np.array(odd), consensus_error=0.1 + 0.2,
-                        ne_residual=-0.0, guard_activations=0, elapsed=0.0),
-        IterationRecord(k=7, actions=np.array(odd[::-1]), consensus_error=5e-324,
-                        ne_residual=1e16, guard_activations=3, elapsed=1.2345678),
-        # a diverged run's last record
-        IterationRecord(k=8, actions=np.array([np.inf, -np.inf, np.nan, 1.0]),
-                        consensus_error=float("nan"), ne_residual=float("inf"),
-                        guard_activations=12, elapsed=2.5e-7),
-    ]
+    # three rows, the last a diverged run's last record
+    records = Records(k=np.array([0, 7, 8]),
+                      actions=np.array([odd, odd[::-1], [np.inf, -np.inf, np.nan, 1.0]]),
+                      consensus_error=np.array([0.1 + 0.2, 5e-324, np.nan]),
+                      ne_residual=np.array([-0.0, 1e16, np.inf]),
+                      guard_activations=np.array([0, 3, 12]),
+                      elapsed=np.array([0.0, 1.2345678, 2.5e-7]))
+    assert all(isinstance(r, IterationRecord) for r in records)
     cli.write_trace(tmp_path / "new.csv", records, timing=timing)
     _csv_writer_trace(tmp_path / "ref.csv", records, timing)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -760,6 +763,17 @@ def test_check_graph_report(tmp_path, capsys):
     assert out["n"] == "3" and out["edges"] == "3"
     assert out["degree_min"] == "2" and out["degree_max"] == "2"
     assert abs(float(out["lambda_min_d_plus_a"]) - 1.0) <= 1e-12
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # `python -m nashadmm` goes through __main__.py to cli.main and its exit code
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nashadmm", "print-default-config"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert cli.main(["print-default-config"]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_print_default_config_round_trips(tmp_path, capsys):

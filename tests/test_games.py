@@ -132,6 +132,32 @@ def test_quadratic_ne_rejects_singular():
         quadratic_ne(g)
 
 
+def test_quadratic_ne_rejects_a_solve_that_misses_stationarity():
+    # diag(a) + B is near-singular but not singular: the solve returns an x of
+    # about 1e14 without raising, and M x + d is far from zero in floats
+    a = [0.1907300039130906, 0.2603627571358676, 0.5253574942099839]
+    B = [[0.0, 0.31127629385299876, 0.5282737517109699],
+         [0.12914772210353204, 0.0, -0.6496416062093204],
+         [0.12651220439946664, 0.19785860409625095, 0.0]]
+    d = [0.00021770323368909507, 0.0004097294911294851, 0.0008856073582583343]
+    g = QuadraticGame(a, B, d, ActionBox.cube(3, -1e15, 1e15))
+    M = np.diag(g.a) + g.B
+    x = np.linalg.solve(M, -g.d)
+    assert np.all(np.abs(x) < 1e15)  # interior, so the residual check is what rejects it
+    assert np.max(np.abs(M @ x + g.d)) >= 100 * 1e-10  # its threshold, as max |d| < 1
+    with pytest.raises(np.linalg.LinAlgError, match="stationarity residual .* too large"):
+        quadratic_ne(g)
+
+
+@pytest.mark.parametrize("game", [random_quadratic_game(4, 0), default_wanet_instance(0)[0]],
+                         ids=["quadratic", "wanet"])
+@pytest.mark.parametrize("i", [-1, "n"])
+def test_cost_rejects_a_player_out_of_range(game, i):
+    i = game.n_players if i == "n" else i
+    with pytest.raises(IndexError, match=f"player {i} out of range for n={game.n_players}"):
+        game.cost(i, np.zeros(game.n_players))
+
+
 def test_random_quadratic_game_interior_and_monotone():
     for seed in range(6):
         g = random_quadratic_game(6, seed=seed)

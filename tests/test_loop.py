@@ -2,9 +2,11 @@
 error is computed only where it is read, the game is evaluated once per
 iteration for the step, the residual and the records, one finite check over
 the whole state stops a member whose W alone is non-finite, a result holds its
-own arrays, and the caller's start is left as it was."""
+own arrays, records take about a row of columns each, whatever the budget,
+and the caller's start is left as it was."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -184,3 +186,63 @@ def test_a_start_profile_is_left_as_it_was(solver):
     for r in results:
         assert r.state.k == 120
         assert not np.shares_memory(r.state.X, x0) and not np.shares_memory(r.state.W, x0)
+
+
+_NEVER = dict(tol_consensus=1e-300, tol_residual=1e-300)
+
+
+@pytest.mark.parametrize("solver", ["sweep", "run"])
+def test_results_hold_about_a_row_of_columns_per_record(solver):
+    # a record is n actions and five 8-byte fields, (n + 5) * 8 = 160 bytes at
+    # n = 15; measured 162.7 (sweep) and 163.2 (run) bytes per member-record,
+    # the states included, against 380 and 421 with one object per record
+    game, graph = default_wanet_instance(7)
+    stop = dict(max_iter=2000, record_every=1, **_NEVER)
+    solve = {"sweep": lambda: run_baseline(game, graph, BaselineConfig(**stop)),
+             "run": lambda: [run(game, graph, AdmmConfig(**stop))]}[solver]
+    solve()
+    tracemalloc.start()
+    try:
+        results = solve()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [r.reason for r in results] == ["iteration budget"] * len(results)
+    assert len(results) == (5 if solver == "sweep" else 1)
+    assert [len(r.records) for r in results] == [2001] * len(results)
+    assert held / (2001 * len(results)) <= 184
+
+
+def test_a_budget_far_past_the_stop_keeps_the_records_and_a_bounded_peak():
+    game, graph = default_wanet_instance(7)
+    cfg = AdmmConfig(record_every=1)
+    near = run(game, graph, replace(cfg, max_iter=5000))
+    tracemalloc.start()
+    try:
+        far = run(game, graph, replace(cfg, max_iter=10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (near.reason, near.state.k) == ("converged", 2978)
+    assert _state_bits(far) == _state_bits(near)
+    assert [_record_bits(r) for r in far.records] == [_record_bits(r) for r in near.records]
+    # measured 8.02 MiB, the records' first allocation: a store sized by the
+    # budget would ask for 10**12 rows
+    assert peak <= 9 * 2**20
+
+
+def test_records_that_outgrow_their_first_allocation_keep_their_bits(monkeypatch):
+    # members stop off the record grid, at 579, 603 and 658, while the block grows
+    game, graph = random_quadratic_game(8, 1), ring(8)
+    cfg = BaselineConfig(sweep=(0.2, 0.1, 0.05), tol_consensus=1e-8, tol_residual=1e-4,
+                         record_every=50)
+    roomy = run_baseline(game, graph, cfg)
+    monkeypatch.setattr(loop, "_RECORD_BUDGET", 3 * (8 + 5) * 8 * 2)  # two rows
+    grown = run_baseline(game, graph, cfg)
+    assert [r.state.k for r in grown] == [579, 603, 658]
+    for a, b in zip(roomy, grown):
+        assert _state_bits(a) == _state_bits(b)
+        assert [_record_bits(r) for r in a.records] == [_record_bits(r) for r in b.records]
+        assert len(b.records) == b.state.k // 50 + 2
+    arrays = [rec.actions for r in grown for rec in r.records]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))

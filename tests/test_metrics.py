@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nashadmm import (
     CommGraph,
     QuadraticGame,
     consensus_error,
+    default_wanet_instance,
     init_state,
     ne_residual,
     path,
@@ -48,6 +50,16 @@ def test_consensus_error_max_over_edges():
 def test_consensus_error_shape_check():
     with pytest.raises(ValueError):
         consensus_error(np.zeros((2, 3)), ring(3))
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: consensus_error(np.zeros(4), ring(4)), "(..., 4, N)"),
+    (lambda: ne_residual(np.zeros(14), default_wanet_instance(0)[0]), "(..., 15)"),
+    (lambda: ne_residual(np.zeros(3), random_quadratic_game(4, 0)), "(..., 4)"),
+], ids=["consensus-1d", "wanet-14-of-15", "quadratic-3-of-4"])
+def test_metrics_name_the_shape_they_expect(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must have shape {shape}")):
+        call()
 
 
 def test_consensus_error_permutation_invariant():
