@@ -75,6 +75,17 @@ def _step_weights(cfg: AdmmConfig, graph: CommGraph):
     return beta + cfg.c * deg, alpha
 
 
+def _divisor(d):
+    """(op, operand) with op(x, operand, out=...) giving the bits of x / d for
+    every x: (np.multiply, 1 / d) when every value of d (a scalar or an (n, 1)
+    column) is a power of two whose reciprocal is finite, since 1 / d is then
+    exact and both round the same real number; else (np.divide, d)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = np.divide(1.0, d)
+    exact = np.all(np.frexp(d)[0] == 0.5) and np.all(np.isfinite(inv))
+    return (np.multiply, inv) if exact else (np.divide, d)
+
+
 def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     """The step: one synchronous iteration of the compact per-player recursion
     on a stack of states, its per-run constants computed once and shared by
@@ -99,11 +110,14 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
 
     The staggered w indices are what make this recursion match the explicit
     multiplier form step for step. The input gate has passed game and graph,
-    so every player has a neighbor.
+    so every player has a neighbor. A division by a power of two is a
+    multiplication by its exact reciprocal, and the scaling by c is skipped
+    at c = 1, both with the same bits.
     """
     c, deg_col = cfg.c, graph.row_degrees()
     keep, alpha = _step_weights(cfg, graph)
-    two_c_col = 2.0 * c * deg_col  # finite, as alpha is
+    div_deg, deg_arg = _divisor(deg_col)
+    div_two_c_deg, two_c_deg_arg = _divisor(2.0 * c * deg_col)  # finite, as alpha is
 
     def step(X: np.ndarray, W: np.ndarray, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         # in the operation order of W + c (deg X - S) and S / deg - W / (2c deg);
@@ -111,11 +125,12 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
         graph.neighbor_sums(X, out=S, work=T)
         np.multiply(deg_col, X, out=T)
         T -= S
-        T *= c
+        if c != 1.0:
+            T *= c
         c_own_sums = c * S.diagonal(0, -2, -1)
         keep_own = keep * X.diagonal(0, -2, -1)
-        np.divide(S, deg_col, out=X)
-        X -= np.divide(W, two_c_col, out=S)
+        div_deg(S, deg_arg, out=X)
+        X -= div_two_c_deg(W, two_c_deg_arg, out=S)
         W += T
         own_num = keep_own - W.diagonal(0, -2, -1) - grads + c_own_sums
         # the projection writes through a view of each diagonal

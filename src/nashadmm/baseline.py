@@ -9,14 +9,14 @@ coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .admm import AdmmConfig, _step_weights, run as admm_run
+from .admm import AdmmConfig, _divisor, _step_weights, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
-from .loop import RunResult, StopRule, _check, _drive, _floats, check_problem
+from .loop import Records, RunResult, StopRule, _check, _drive, _floats, check_problem
 
 __all__ = [
     "BaselineConfig",
@@ -52,13 +52,13 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
     on regular graphs, where it therefore preserves the column sums of X.
     """
-    deg_plus_1 = graph.row_degrees() + 1.0
+    div_deg_plus_1, deg_plus_1_arg = _divisor(graph.row_degrees() + 1.0)
     gamma_col = np.asarray(gammas, dtype=float)[:, None]
 
     def step(X: np.ndarray, W: np.ndarray, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         own = X.diagonal(0, -2, -1) - gamma_col[live] * grads
         graph.neighbor_sums(X, out=S, work=T)
-        np.divide(np.add(S, X, out=S), deg_plus_1, out=X)
+        div_deg_plus_1(np.add(S, X, out=S), deg_plus_1_arg, out=X)
         # the projection writes through a view of each diagonal
         game.action_box.project(own, out=np.einsum("...ii->...i", X))
 
@@ -110,10 +110,14 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
                      for g, r in zip(gammas, runs)]
     done = [(k, b) for b, (_, _, k) in enumerate(sweep_results) if k is not None]
     b = min(done)[1] if done else -1  # the fewest iterations; ties go to the earlier step size
-    base_res, base_iters, reasons = runs[b], sweep_results[b][2], {r.reason for r in runs}
+    best, base_iters, reasons = runs[b], sweep_results[b][2], {r.reason for r in runs}
     base_reason = "converged" if done else "diverged" if "diverged" in reasons \
         else "iteration budget"
-    del runs  # the unreported runs' states go before the ADMM run adds its own
+    # the reported rows get columns of their own, so the sweep's record block
+    # and the unreported runs' states go before the ADMM run adds its own
+    base_res = replace(best, records=Records(*(getattr(best.records, f.name).copy()
+                                               for f in fields(Records))))
+    del runs, best
     admm_result = admm_run(game, graph, a_cfg, x0=x0)
     admm_iters = admm_result.state.k if admm_result.reason == "converged" else None
     ratio = None if admm_iters is None else float("inf") if base_iters is None \

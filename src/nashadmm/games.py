@@ -149,6 +149,13 @@ class QuadraticGame(GameModel):
         coupling = np.matmul(self.B[:, None, :], X[..., None])[..., 0, 0]
         return self.a * X.diagonal(0, -2, -1) + coupling + self.d
 
+    def pseudo_gradient(self, x: np.ndarray) -> np.ndarray:
+        """The base class's F(x) bit for bit, without its n copies of x: the same
+        row-wise B[i] @ x products on the same kernel as `own_gradients`."""
+        x = np.asarray(x, dtype=float)
+        coupling = np.matmul(self.B[:, None, :], x[..., None, :, None])[..., 0, 0]
+        return self.a * x + coupling + self.d
+
 
 def quadratic_ne(game: QuadraticGame) -> np.ndarray:
     """Closed-form interior equilibrium of a quadratic game.

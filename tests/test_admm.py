@@ -28,7 +28,7 @@ from nashadmm import (
     run,
 )
 from nashadmm import cli
-from nashadmm.admm import _admm_plan
+from nashadmm.admm import _admm_plan, _divisor
 from nashadmm.baseline import _baseline_plan
 from nashadmm.loop import SettingError
 
@@ -285,7 +285,9 @@ def test_run_peaks_at_six_matrices():
 
 
 # the scalar path (every degree equal) and the column path, and a stack that
-# loses a member, as the loop drops a diverged one
+# loses a member, as the loop drops a diverged one; ring200-defaults and
+# complete5 have every divisor a power of two, multiplied by its reciprocal,
+# ring200-defaults at c = 1, where the scaling by c is skipped
 _REFERENCE_CASES = {
     "ring200": lambda: (random_quadratic_game(200, 0), ring(200),
                         AdmmConfig(c=0.7, beta=tuple(np.linspace(0.5, 2.0, 200))), 1),
@@ -295,6 +297,8 @@ _REFERENCE_CASES = {
     "path9": lambda: (random_quadratic_game(9, 4), path(9), AdmmConfig(c=0.4, beta=2.5), 1),
     "stack-drop": lambda: (random_quadratic_game(10, 5), ring(10),
                            AdmmConfig(beta=tuple(np.linspace(0.5, 1.5, 10))), 3),
+    "ring200-defaults": lambda: (random_quadratic_game(200, 0), ring(200), AdmmConfig(), 1),
+    "complete5": lambda: (random_quadratic_game(5, 6), complete(5), AdmmConfig(c=0.5), 1),
 }
 
 
@@ -312,6 +316,29 @@ def test_step_is_the_reference_step_bit_for_bit(case):
         Xr, Wr = reference_admm_step(Xr, Wr, game.evaluate(Xr)[0], game, graph, cfg)
         assert (X.tobytes(), W.tobytes()) == (Xr.tobytes(), Wr.tobytes()), k
     assert np.isfinite(X).all() and np.isfinite(W).all()
+
+
+_COLUMN = np.array([[1.0], [2.0**-3], [2.0**20]])
+
+
+@pytest.mark.parametrize("d, exact", [
+    (2.0, True), (4.0, True), (2.0**-3, True), (2.0**20, True), (1.0, True),
+    (2.0**1023, True),  # its reciprocal is subnormal, and exact
+    (3.0, False), (0.5 + 2.0**-53, False), (0.0, False), (np.inf, False), (np.nan, False),
+    (2.0**-1074, False),  # its reciprocal overflows
+    (_COLUMN, True), (2.0 * _COLUMN, True),
+    (np.array([[2.0], [3.0], [4.0]]), False), (np.array([[4.0], [4.0], [6.0]]), False),
+])
+def test_divisor_multiplies_exactly_where_every_value_is_a_power_of_two(d, exact):
+    op, arg = _divisor(d)
+    assert op is (np.multiply if exact else np.divide)
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    data = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 2.0**-1022, np.inf, -np.inf, np.nan,
+                     1.0, -3.0, 0.1, 7.3e-300, big, -big, np.pi])
+    data = np.concatenate([data, np.random.default_rng(0).normal(0.0, 1e3, 16)])
+    data = np.broadcast_to(data, (3, data.size))
+    with np.errstate(all="ignore"):
+        assert op(data, arg, out=np.empty_like(data)).tobytes() == np.divide(data, d).tobytes()
 
 
 _FAULTS_PER_ITERATION = """

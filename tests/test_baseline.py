@@ -9,6 +9,7 @@ from nashadmm import (
     BaselineConfig,
     QuadraticGame,
     compare,
+    complete,
     default_wanet_instance,
     init_state,
     path,
@@ -140,6 +141,8 @@ _REFERENCE_CASES = {
     "ring200": lambda: (random_quadratic_game(200, 0), ring(200), (0.05,)),
     "wanet7": lambda: (*default_wanet_instance(7), (0.1,)),
     "path9-stack-drop": lambda: (random_quadratic_game(9, 4), path(9), (0.2, 0.6, 0.05)),
+    # deg + 1 = 4, a power of two: multiplied by its reciprocal
+    "complete4": lambda: (random_quadratic_game(4, 6), complete(4), (0.1,)),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nashadmm import (
     ActionBox,
+    GameModel,
     QuadraticGame,
     WanetGame,
     default_wanet_instance,
@@ -79,6 +80,18 @@ def test_quadratic_cost_and_grad_formula():
     X = np.random.default_rng(2).uniform(-10, 10, size=(200, 200))
     rows = [big.a[i] * X[i, i] + big.B[i] @ X[i] + big.d[i] for i in range(200)]
     assert np.array_equal(big.own_gradients(X), rows)
+
+
+@pytest.mark.parametrize("n", [2, 15, 200])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_quadratic_pseudo_gradient_is_the_base_class_path_bit_for_bit(n, shape):
+    """The override gives the bytes of the base class's n copies of each profile."""
+    game = random_quadratic_game(n, seed=n)
+    x = np.random.default_rng(len(shape)).uniform(-10, 10, size=(*shape, n))
+    x[..., ::3] = -0.0
+    F = game.pseudo_gradient(x)
+    assert F.shape == x.shape
+    assert F.tobytes() == GameModel.pseudo_gradient(game, x).tobytes()
 
 
 def test_quadratic_validation():

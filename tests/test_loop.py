@@ -213,6 +213,23 @@ def test_results_hold_about_a_row_of_columns_per_record(solver):
     assert held / (2001 * len(results)) <= 184
 
 
+def test_a_race_report_holds_the_reported_baseline_rows_alone():
+    game, graph = default_wanet_instance(7)
+    compare(game, graph, AdmmConfig(), BaselineConfig(), 1e-4)
+    tracemalloc.start()
+    try:
+        report = compare(game, graph, AdmmConfig(), BaselineConfig(), 1e-4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (report.admm_iterations, report.baseline_iterations) == (2004, 4723)
+    records = report.baseline_result.records
+    assert len(records) == 4724 and records.actions.base is None
+    # measured 1.569 MB: the best run's 4724 rows (0.76 MB) and the ADMM run's
+    # 5001-row block (0.80 MB); 4.81 MB with the sweep's 5 x 5001-row block
+    assert held <= 1.65e6
+
+
 def test_a_budget_far_past_the_stop_keeps_the_records_and_a_bounded_peak():
     game, graph = default_wanet_instance(7)
     cfg = AdmmConfig(record_every=1)
