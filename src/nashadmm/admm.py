@@ -112,12 +112,14 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
     multiplier form step for step. The input gate has passed game and graph,
     so every player has a neighbor. A division by a power of two is a
     multiplication by its exact reciprocal, and the scaling by c is skipped
-    at c = 1, both with the same bits.
+    at c = 1, both with the same bits. The step states its growth G = 1 +
+    2c deg_max + 1 / (2c deg_min) for the loop's finite check.
     """
-    c, deg_col = cfg.c, graph.row_degrees()
+    c, deg_col, n = cfg.c, graph.row_degrees(), graph.n
     keep, alpha = _step_weights(cfg, graph)
+    two_c_deg = 2.0 * c * deg_col  # finite, as alpha is
     div_deg, deg_arg = _divisor(deg_col)
-    div_two_c_deg, two_c_deg_arg = _divisor(2.0 * c * deg_col)  # finite, as alpha is
+    div_two_c_deg, two_c_deg_arg = _divisor(two_c_deg)
 
     def step(X: np.ndarray, W: np.ndarray, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         # in the operation order of W + c (deg X - S) and S / deg - W / (2c deg);
@@ -133,9 +135,15 @@ def _admm_plan(game: GameModel, graph: CommGraph, cfg: AdmmConfig):
         X -= div_two_c_deg(W, two_c_deg_arg, out=S)
         W += T
         own_num = keep_own - W.diagonal(0, -2, -1) - grads + c_own_sums
-        # the projection writes through a view of each diagonal
-        game.action_box.project(own_num / alpha, out=np.einsum("...ii->...i", X))
+        # the projection writes through a view of each diagonal (X is contiguous)
+        game.action_box.project(own_num / alpha,
+                                out=X.reshape(*X.shape[:-2], -1)[..., ::n + 1])
 
+    # |W + T| <= (1 + 2c deg_max) M and |S / deg - W / (2c deg)| <= (1 + 1 / (2c
+    # deg_min)) M, so no value of the new X and W passes G M, and S, deg X and
+    # their difference stay within 2 deg_max M; see loop._TRUSTED
+    with np.errstate(over="ignore", divide="ignore"):
+        step.growth = float(1.0 + np.max(two_c_deg) + 1.0 / np.min(two_c_deg))
     return step
 
 

@@ -47,21 +47,23 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     along `grads`, the rows' own gradients from the loop's evaluation of X.
     It keeps no duals, so it leaves W at zero, and it writes the new estimates
     over X, with S and T, the loop's two scratch arrays, holding the neighbor sums.
+    Its growth G = 1 tells the loop's finite check that no value grows.
 
     Row i of the average is the mean of {x^j : j in N_i union {i}}. The mixing
     matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
     on regular graphs, where it therefore preserves the column sums of X.
     """
     div_deg_plus_1, deg_plus_1_arg = _divisor(graph.row_degrees() + 1.0)
-    gamma_col = np.asarray(gammas, dtype=float)[:, None]
+    gamma_col, n = np.asarray(gammas, dtype=float)[:, None], graph.n
 
     def step(X: np.ndarray, W: np.ndarray, S: np.ndarray, T: np.ndarray, live, grads) -> None:
         own = X.diagonal(0, -2, -1) - gamma_col[live] * grads
         graph.neighbor_sums(X, out=S, work=T)
         div_deg_plus_1(np.add(S, X, out=S), deg_plus_1_arg, out=X)
-        # the projection writes through a view of each diagonal
-        game.action_box.project(own, out=np.einsum("...ii->...i", X))
+        # the projection writes through a view of each diagonal (X is contiguous)
+        game.action_box.project(own, out=X.reshape(*X.shape[:-2], -1)[..., ::n + 1])
 
+    step.growth = 1.0  # an average of rows passes no |value| of X, and W stays 0
     return step
 
 

@@ -160,6 +160,22 @@ def _record_block(members: int, rows: int, n: int) -> list[np.ndarray]:
             np.empty(shape, int), np.empty(shape)]
 
 
+# The loop trusts a bound on max|Z| below this to prove Z finite. A plan
+# states its growth G: if every |value| of Z_k is at most M, a step makes
+# every value of Z_{k+1} but the own coordinates at most G M, and every value
+# on the way at most 2 deg_max G M, in exact arithmetic; the own coordinates
+# are projected into the box, or NaN. The bound starts at the box's largest
+# |bound| (at least 1, so rounding stays relative) and grows by G a step. The
+# 2^24 of headroom below overflow takes the degree factor (2 deg_max < 2^21:
+# n > 2^21 rows would make X alone 32 TiB) and the rounding: each value
+# carries at most (deg_max + 12) roundings a step, so j steps since the last
+# exact pass leave the bound short by under (1 + 2^-53)^((deg_max + 12) j) < 8
+# while (deg_max + 12) j < 2^54. ADMM's G is at least 3, so j < 1310; the
+# baseline's G = 1 leaves j the run's length, and at the loop's microsecond or
+# more an iteration 2^54 / (deg_max + 12) iterations take decades.
+_TRUSTED = 2.0 ** 1000
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph,
            stop: StopRule) -> list[RunResult]:
@@ -172,10 +188,16 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     index in the original stack and `grads` the rows' own gradients at X. The
     loop owns them all: a result holds copies of its X and W, and a stopped
     member leaves the stack, which keeps the others' states and the scratch's
-    leading rows. A member with a non-finite value in X or W (one check over
-    Z) stops as "diverged", with no floating-point warning: an overflow ends
-    as a clipped step or as that stop. The others go on as if they ran alone.
-    A record's `elapsed` is the whole stack's wall clock.
+    leading rows. A member with a non-finite value in X or W stops as
+    "diverged", with no floating-point warning: an overflow ends as a clipped
+    step or as that stop. The others go on as if they ran alone. A record's
+    `elapsed` is the whole stack's wall clock.
+
+    The finite check reads the diagonals alone while a bound on max|Z| stays
+    below _TRUSTED: `step.growth`, the factor G the plan states, proves every
+    other value finite. A bound at or past it, a diagonal sum that is not
+    finite, or a step that states no G takes a max and a min of Z per member,
+    which decide exactly and reset the bound.
 
     The records go into one block of six columns for the stack, member m's
     row r at [m, r]: `actions` is (members, rows, n), the others (members,
@@ -199,6 +221,10 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     t0, n = time.perf_counter(), x0.size
     X, W = Z = np.zeros((2, members, n, n))
     X[:] = x0
+    actions = X.reshape(members, -1)[:, ::n + 1]  # the diagonals: X is contiguous, so a view
+    box = game.action_box
+    floor = bound = max(1.0, float(np.abs(box.lower).max()), float(np.abs(box.upper).max()))
+    growth = getattr(step, "growth", np.inf)
     S, T = np.empty_like(X), np.empty_like(X)
     every, last_k = stop.record_every, stop.max_iter
     rows = last_k // every + 1 + (last_k % every > 0)  # the grid and an off-grid max_iter
@@ -206,9 +232,8 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     k, r, ids, finite = 0, 0, np.arange(members), np.ones(members, bool)
     live, ends = ids.tolist(), [None] * members
     while True:
-        actions = X.diagonal(0, -2, -1)
         grads, pseudo, guards = game.evaluate(X)
-        nr = _fixed_point_gap(actions, pseudo, game.action_box)
+        nr = _fixed_point_gap(actions, pseudo, box)
         del pseudo  # the residual's input only: not held to the run's end, where memory peaks
         recorded = k % every == 0 or k >= last_k
         close, stops = nr <= stop.tol_residual, []
@@ -243,7 +268,13 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
             keep = ~last
             ids, Z, grads = ids[keep], Z[:, keep], grads[keep]
             live, (X, W), S, T = ids.tolist(), Z, S[:len(ids)], T[:len(ids)]
+            actions = X.reshape(len(live), -1)[:, ::n + 1]
         r += recorded
         step(X, W, S, T, live, grads)
         k += 1
-        finite = np.isfinite(Z).all(axis=(0, 2, 3))
+        bound *= growth
+        finite = np.isfinite(actions.sum(axis=1))
+        if not (bound < _TRUSTED and all(finite.tolist())):
+            top, low = Z.max(axis=(0, 2, 3)), Z.min(axis=(0, 2, 3))  # NaN and infinities carry
+            finite = np.isfinite(top) & np.isfinite(low)
+            bound = max(floor, float(np.maximum(top, -low).max(initial=0.0, where=finite)))

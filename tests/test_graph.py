@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashadmm import CommGraph, complete, path, random_connected_graph, ring
+import nashadmm.graph as graph_module
+from nashadmm import (CommGraph, complete, default_wanet_instance, path,
+                      random_connected_graph, ring)
 from nashadmm.cli import ConfigError, build_graph
 
 from oracles import charpoly_eigs, neighbor_sums_loop, neighbors, random_graph_edges
@@ -141,11 +143,24 @@ def test_neighbor_symmetry(n, extra, seed):
             assert i in neighbors(g, j)
 
 
-@pytest.mark.parametrize("graph", [
-    ring(200), random_connected_graph(200, 400, 1), random_connected_graph(15, 5, 7),
-    CommGraph(12, frozenset((0, j) for j in range(1, 12))), complete(30), CommGraph(3),
-], ids=["ring200", "random200", "random15", "star12", "complete30", "edgeless3"])
-def test_neighbor_sums_bitwise(graph):
+def _star(n):
+    return CommGraph(n, frozenset((0, j) for j in range(1, n)))
+
+
+# built in the test, so each graph computes its slots under the test's rule
+_GRAPHS = {
+    "ring200": lambda: ring(200), "random200": lambda: random_connected_graph(200, 400, 1),
+    "random15": lambda: random_connected_graph(15, 5, 7), "star12": lambda: _star(12),
+    "complete30": lambda: complete(30), "edgeless3": lambda: CommGraph(3),
+    "path9": lambda: path(9), "path200": lambda: path(200), "ring2": lambda: ring(2),
+    "ring3": lambda: ring(3), "ring128": lambda: ring(128),
+    "wanet7": lambda: default_wanet_instance(7)[1],
+}
+_STACKED = ["ring200", "random15", "star12", "edgeless3", "path9", "path200", "ring2", "ring3",
+            "ring128", "wanet7"]
+
+
+def _check_sums(graph):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((graph.n, graph.n))
     X[rng.random(X.shape) < 0.2] = -0.0
@@ -154,11 +169,7 @@ def test_neighbor_sums_bitwise(graph):
     assert S.tobytes() == neighbor_sums_loop(X, graph).tobytes()
 
 
-@pytest.mark.parametrize("graph", [
-    ring(200), random_connected_graph(15, 5, 7),
-    CommGraph(12, frozenset((0, j) for j in range(1, 12))), CommGraph(3),
-], ids=["ring200", "random15", "star12", "edgeless3"])
-def test_stacked_neighbor_sums_bitwise(graph):
+def _check_stacked_sums(graph):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((3, graph.n, graph.n))
     X[rng.random(X.shape) < 0.2] = -0.0
@@ -168,6 +179,60 @@ def test_stacked_neighbor_sums_bitwise(graph):
     assert S is out and S.shape == X.shape
     for g in range(3):
         assert S[g].tobytes() == neighbor_sums_loop(X[g], graph).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_GRAPHS))
+def test_neighbor_sums_bitwise(name):
+    _check_sums(_GRAPHS[name]())
+
+
+@pytest.mark.parametrize("name", _STACKED)
+def test_stacked_neighbor_sums_bitwise(name):
+    _check_stacked_sums(_GRAPHS[name]())
+
+
+@pytest.fixture
+def views_everywhere(monkeypatch):
+    """Strided sums on every slot that can take them, so that the small graphs
+    and the scattered slots run the strided path too."""
+    monkeypatch.setattr(graph_module, "_RUN_CELLS", 0)
+    monkeypatch.setattr(graph_module, "_MAX_RUNS", 10**9)
+
+
+@pytest.mark.parametrize("name", list(_GRAPHS))
+def test_neighbor_sums_through_views_everywhere_bitwise(name, views_everywhere):
+    _check_sums(_GRAPHS[name]())
+
+
+@pytest.mark.parametrize("name", _STACKED)
+def test_stacked_neighbor_sums_through_views_everywhere_bitwise(name, views_everywhere):
+    _check_stacked_sums(_GRAPHS[name]())
+
+
+def _views(graph):
+    return [runs is not None for _, _, runs in graph._slots]
+
+
+def test_rings_and_paths_sum_through_views_where_that_pays():
+    assert _views(ring(200)) == [True, True] and _views(path(200)) == [True, True]
+    # a ring's slots have three runs of rows each, a path's two and one
+    assert [len(runs) for _, _, runs in ring(200)._slots] == [3, 3]
+    assert [len(runs) for _, _, runs in path(200)._slots] == [2, 1]
+    assert not any(_views(random_connected_graph(200, 400, 1)))
+    for graph in (ring(15), path(15), complete(15), _star(15), random_connected_graph(15, 5, 7),
+                  default_wanet_instance(7)[1]):
+        assert graph.n == 15 and not any(_views(graph))
+    # the rule switches where the views measured faster, between n = 80 and 90
+    assert not any(_views(ring(50))) and all(_views(ring(100)))
+
+
+def test_views_everywhere_meet_each_kind_of_slot(views_everywhere):
+    # a masked slot, a one-run slot, a slot of one-row runs, a slot covering two
+    # rows in two runs; a first slot that leaves a row out still gathers
+    assert path(9)._slots[1][1] is not None and [len(r) for *_, r in path(9)._slots] == [2, 1]
+    assert [len(r) for *_, r in _star(12)._slots] == [12] + [1] * 10
+    assert [len(r) for *_, r in ring(2)._slots] == [2]
+    assert _views(CommGraph(3)) == [False] and all(_views(random_connected_graph(200, 400, 1)))
 
 
 def test_degree_adjacency_consistency():

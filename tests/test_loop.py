@@ -1,7 +1,8 @@
 """What the loop may skip or reuse cannot be seen from outside: the consensus
 error is computed only where it is read, the game is evaluated once per
-iteration for the step, the residual and the records, one finite check over
-the whole state stops a member whose W alone is non-finite, a result holds its
+iteration for the step, the residual and the records, the finite check stops a
+member whose W alone is non-finite and decides from the plans' bounds exactly
+what a full pass decides, an iteration allocates no matrix, a result holds its
 own arrays, records take about a row of columns each, whatever the budget,
 and the caller's start is left as it was."""
 
@@ -15,17 +16,22 @@ import pytest
 import nashadmm.loop as loop
 import nashadmm.metrics as metrics
 from nashadmm import (
+    ActionBox,
     AdmmConfig,
     BaselineConfig,
+    QuadraticGame,
     WanetGame,
+    complete,
     compare,
     default_wanet_instance,
+    path,
     random_quadratic_game,
     ring,
     run,
     run_baseline,
 )
 from nashadmm.admm import _admm_plan
+from nashadmm.baseline import _baseline_plan
 
 
 def _record_bits(r):
@@ -145,6 +151,160 @@ def test_a_member_whose_w_alone_turns_non_finite_stops_as_diverged():
     for r in (stack[0], stack[2]):
         assert _state_bits(r) == _state_bits(alone)
         assert [_record_bits(x) for x in r.records] == [_record_bits(x) for x in alone.records]
+
+
+class PoisonedGame(QuadraticGame):
+    """random_quadratic_game(n, 3) on the box [-h, h]^n, with member 0's first
+    own gradient set to `poison` from evaluation `at` + 1 on."""
+
+    def __init__(self, n, h, poison, at=7):
+        base = random_quadratic_game(n, 3)
+        super().__init__(base.a, base.B, base.d, ActionBox.cube(n, -h, h))
+        self.poison, self.at, self.calls = poison, at, 0
+
+    def evaluate(self, X):
+        grads, pseudo, guards = super().evaluate(X)
+        self.calls += 1
+        if self.poison is not None and self.calls > self.at:
+            grads[0, 0] = self.poison
+        return grads, pseudo, guards
+
+
+def _result_bits(result):
+    return (*_state_bits(result), *(np.ascontiguousarray(getattr(result.records, f)).tobytes()
+                                    for f in ("k", "actions", "consensus_error", "ne_residual",
+                                              "guard_activations")))
+
+
+_POISONS = [None, np.nan, np.inf, -np.inf, 1e308, -1e308]
+_SMALL_GRAPHS = {3: ring(5), 7: path(4), 20: complete(4)}  # by the poison's first evaluation
+
+
+def _watched(plan, finite):
+    """plan as a step that states no growth, so that the loop checks every value
+    of Z each iteration, and that appends to `finite` a dict {member: whether
+    its X and W are finite} after each step."""
+    def step(X, W, S, T, live, grads):
+        plan(X, W, S, T, live, grads)
+        ok = np.isfinite(X).all(axis=(1, 2)) & np.isfinite(W).all(axis=(1, 2))
+        finite.append(dict(zip(live, ok.tolist())))
+    return step
+
+
+@pytest.mark.parametrize("solver", ["admm", "baseline"])
+def test_the_bound_decides_what_a_full_pass_decides(solver):
+    # c from 1e-300 to 1e300 and boxes up to 1e300 make values overflow, the
+    # poisons put a NaN, an infinity or a huge value into an own step; the
+    # full pass is checked in turn against the first non-finite step
+    cs = [1e-300, 1e-3, 1.0, 1e3, 1e300] if solver == "admm" else [None]
+    reasons = []
+    for c, h, poison, (at, graph) in itertools.product(cs, [1.0, 1e150, 1e300], _POISONS,
+                                                       _SMALL_GRAPHS.items()):
+        n = graph.n
+        x0 = h * np.linspace(-0.5, 0.5, n)
+        stop = dict(max_iter=40, record_every=3, tol_consensus=1e-300, tol_residual=1e-300)
+        game = PoisonedGame(n, h, poison, at)
+        if solver == "admm":
+            plan = _admm_plan(game, graph, AdmmConfig(c=c, **stop))
+        else:
+            plan = _baseline_plan(game, graph, (0.2, 1e300))
+        assert plan.growth < np.inf
+        bounded = loop._drive(x0, 2, plan, game, graph, BaselineConfig(**stop))
+        finite = []
+        full = loop._drive(x0, 2, _watched(plan, finite), PoisonedGame(n, h, poison, at), graph,
+                           BaselineConfig(**stop))
+        case = (c, h, poison, graph.n, len(graph.edges))
+        for g, (b, f) in enumerate(zip(bounded, full)):
+            assert _result_bits(b) == _result_bits(f), case
+            first_bad = next((k for k, ok in enumerate(finite, 1) if not ok.get(g, True)), None)
+            assert (f.reason == "diverged", f.state.k) == (first_bad is not None,
+                                                           first_bad or f.state.k), case
+            reasons.append((poison is None, b.reason, b.state.k))
+    # a NaN stops a member where it lands, and the second member at its own
+    # first poisoned step; an overflow alone stops ADMM members at c = 1e300
+    diverged = {(clean, k) for clean, reason, k in reasons if reason == "diverged"}
+    assert {(False, k) for k in (4, 6, 8, 10, 21, 23)} <= diverged
+    assert ((True, 2) in diverged) == (solver == "admm")
+    assert any(reason == "iteration budget" for _, reason, _ in reasons)
+
+
+@pytest.mark.parametrize("check", ["bound", "full pass"])
+def test_an_iteration_allocates_no_matrix(check):
+    # the parent's check allocated a bool array of Z, 2 n^2 bytes, each iteration
+    n = 200
+    game, graph = random_quadratic_game(n, 0), ring(n)
+    cfg = AdmmConfig(max_iter=100, record_every=100, tol_consensus=1e-30, tol_residual=1e-30)
+    plan = _admm_plan(game, graph, cfg)
+    step = plan if check == "bound" else lambda *a: plan(*a)
+    evaluate, calls, peaks = game.evaluate, [], []
+
+    def measured(X):
+        # the peak above what is held from the last evaluation to this one:
+        # the step, the finite check, the metrics and the records
+        calls.append(None)
+        if 20 < len(calls) <= 80:
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - current)
+        out = evaluate(X)
+        tracemalloc.reset_peak()
+        return out
+
+    game.evaluate = measured
+    loop._drive(np.zeros(n), 1, step, game, graph, cfg)
+    calls.clear()
+    peaks.clear()
+    tracemalloc.start()
+    try:
+        loop._drive(np.zeros(n), 1, step, game, graph, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 60
+    assert max(peaks) < 0.05 * n * n * 8
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.7, 1.0, 1e3])
+@pytest.mark.parametrize("graph", [ring(5), path(4), complete(4), default_wanet_instance(7)[1]],
+                         ids=["ring5", "path4", "complete4", "wanet7"])
+def test_each_plan_keeps_within_its_stated_growth(graph, c):
+    # from any X and W within M (the box's bound or more), one step leaves every
+    # value of X and W but the own coordinates within G M
+    n, rng = graph.n, np.random.default_rng(round(c * 1000) + graph.n)
+    game = PoisonedGame(n, 10.0, None)
+    plans = {"admm": _admm_plan(game, graph, AdmmConfig(c=c)),
+             "baseline": _baseline_plan(game, graph, (0.2, 0.01))}
+    for name, plan in plans.items():
+        for scale in (10.0, 1e3):  # M at the box's bound, and above it
+            X = rng.uniform(-scale, scale, (2, n, n))
+            np.einsum("...ii->...i", X)[:] = rng.uniform(-10.0, 10.0, (2, n))
+            W = rng.uniform(-scale, scale, (2, n, n)) if name == "admm" else np.zeros_like(X)
+            M = max(np.abs(X).max(), np.abs(W).max())
+            plan(X, W, np.empty_like(X), np.empty_like(X), [0, 1], rng.standard_normal((2, n)))
+            off = ~np.eye(n, dtype=bool)
+            assert max(np.abs(X[:, off]).max(), np.abs(W).max()) <= plan.growth * M * (1 + 1e-12)
+            assert np.abs(np.einsum("...ii->...i", X)).max() <= 10.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["X", "W", "own"])
+def test_any_non_finite_value_stops_its_member_where_it_appears(value, where):
+    # a step that states no growth has all of Z checked, its own coordinates too
+    game, graph = random_quadratic_game(8, 1), ring(8)
+    cfg = AdmmConfig(max_iter=60, record_every=10, tol_consensus=1e-30, tol_residual=1e-30)
+    admm, at = _admm_plan(game, graph, cfg), {"X": (2, 6), "W": (0, 7), "own": (4, 4)}
+    calls = []
+
+    def step(X, W, S, T, live, grads):
+        admm(X, W, S, T, live, grads)
+        calls.append(None)
+        if len(calls) == 31:  # the step to k = 31
+            Z = W if where == "W" else X
+            Z[(live.index(2), *at[where])] = value
+
+    stack = loop._drive(np.zeros(8), 3, step, game, graph, cfg)
+    alone = run(game, graph, cfg)
+    assert [(r.reason, r.state.k) for r in stack] == [("iteration budget", 60)] * 2 \
+        + [("diverged", 31)]
+    assert all(_state_bits(r) == _state_bits(alone) for r in stack[:2])
 
 
 def test_sweep_results_share_no_memory():
