@@ -16,7 +16,7 @@ import numpy as np
 from .admm import AdmmConfig, _divisor, _step_weights, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
-from .loop import Records, RunResult, StopRule, _check, _drive, _floats, check_problem
+from .loop import Records, RunResult, StopRule, _check, _drive, _floats, _tolerance, check_problem
 
 __all__ = [
     "BaselineConfig",
@@ -47,7 +47,8 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
     along `grads`, the rows' own gradients from the loop's evaluation of X.
     It keeps no duals, so it leaves W at zero, and it writes the new estimates
     over X, with S and T, the loop's two scratch arrays, holding the neighbor sums.
-    Its growth G = 1 tells the loop's finite check that no value grows.
+    It makes every value with numpy float arithmetic, so it states `signals`
+    for the loop's finite check.
 
     Row i of the average is the mean of {x^j : j in N_i union {i}}. The mixing
     matrix (I + A) / (deg + 1) is row-stochastic always and doubly stochastic
@@ -63,7 +64,7 @@ def _baseline_plan(game: GameModel, graph: CommGraph, gammas):
         # the projection writes through a view of each diagonal (X is contiguous)
         game.action_box.project(own, out=X.reshape(*X.shape[:-2], -1)[..., ::n + 1])
 
-    step.growth = 1.0  # an average of rows passes no |value| of X, and W stays 0
+    step.signals = True
     return step
 
 
@@ -102,8 +103,10 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
 
     Both stopping thresholds are set to `tol`. The baseline is swept over
     baseline_cfg.sweep and the best convergent step size represents it, so
-    the comparison is not decided by a badly tuned gamma.
+    the comparison is not decided by a badly tuned gamma. A tol that is not
+    positive and finite raises SettingError("tol", ...) before either runs.
     """
+    tol = _tolerance(tol, "tol")
     a_cfg = replace(admm_cfg, tol_consensus=tol, tol_residual=tol)
     _step_weights(a_cfg, graph)  # a bad beta or c is reported before the sweep runs
     b_cfg = replace(baseline_cfg, tol_consensus=tol, tol_residual=tol)

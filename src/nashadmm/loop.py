@@ -43,6 +43,14 @@ def _floats(value, field: str, reason: str, ndims: tuple = (0,)) -> np.ndarray:
     raise SettingError(field, reason)
 
 
+def _tolerance(value, field: str) -> float:
+    """A stopping tolerance as a float: a number, positive (so not NaN) and finite."""
+    tol = float(_floats(value, field, "must be a number"))
+    _check(tol > 0, field, "must be positive")
+    _check(tol < np.inf, field, "must be finite")
+    return tol
+
+
 @dataclass(frozen=True, kw_only=True)
 class StopRule:
     """Both solvers stop once consensus error (the primal residual of Boyd et
@@ -59,8 +67,7 @@ class StopRule:
             _check(np.issubdtype(type(getattr(self, f)), np.integer), f, "must be an integer")
         _check(self.max_iter >= 0, "max_iter", "must be nonnegative")
         for f in ("tol_consensus", "tol_residual"):
-            object.__setattr__(self, f, float(_floats(getattr(self, f), f, "must be a number")))
-            _check(getattr(self, f) > 0, f, "must be positive")
+            object.__setattr__(self, f, _tolerance(getattr(self, f), f))
         _check(self.record_every >= 1, "record_every", "must be at least 1")
 
 
@@ -160,23 +167,19 @@ def _record_block(members: int, rows: int, n: int) -> list[np.ndarray]:
             np.empty(shape, int), np.empty(shape)]
 
 
-# The loop trusts a bound on max|Z| below this to prove Z finite. A plan
-# states its growth G: if every |value| of Z_k is at most M, a step makes
-# every value of Z_{k+1} but the own coordinates at most G M, and every value
-# on the way at most 2 deg_max G M, in exact arithmetic; the own coordinates
-# are projected into the box, or NaN. The bound starts at the box's largest
-# |bound| (at least 1, so rounding stays relative) and grows by G a step. The
-# 2^24 of headroom below overflow takes the degree factor (2 deg_max < 2^21:
-# n > 2^21 rows would make X alone 32 TiB) and the rounding: each value
-# carries at most (deg_max + 12) roundings a step, so j steps since the last
-# exact pass leave the bound short by under (1 + 2^-53)^((deg_max + 12) j) < 8
-# while (deg_max + 12) j < 2^54. ADMM's G is at least 3, so j < 1310; the
-# baseline's G = 1 leaves j the run's length, and at the loop's microsecond or
-# more an iteration 2^54 / (deg_max + 12) iterations take decades.
-_TRUSTED = 2.0 ** 1000
+def _listening(flags: list):
+    """An error state in which overflow, invalid and divide append their kind to `flags`."""
+    return np.errstate(over="call", invalid="call", divide="call", under="ignore",
+                       call=lambda kind, flag: flags.append(kind))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# whether this numpy signals an overflow (a WebAssembly build has no status
+# flags); each run reads it, so a test can stand in for a numpy that cannot
+with _listening(_probe := []):
+    np.multiply(np.array([1e308]), 10.0)
+_SIGNALS = bool(_probe)
+
+
 def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph,
            stop: StopRule) -> list[RunResult]:
     """Step, measure, record and stop each of `members` runs from x0 on its own.
@@ -189,15 +192,15 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     loop owns them all: a result holds copies of its X and W, and a stopped
     member leaves the stack, which keeps the others' states and the scratch's
     leading rows. A member with a non-finite value in X or W stops as
-    "diverged", with no floating-point warning: an overflow ends as a clipped
-    step or as that stop. The others go on as if they ran alone. A record's
-    `elapsed` is the whole stack's wall clock.
+    "diverged", with no floating-point warning or error whatever the caller's
+    error state. The others go on as if they ran alone. A record's `elapsed`
+    is the whole stack's wall clock.
 
-    The finite check reads the diagonals alone while a bound on max|Z| stays
-    below _TRUSTED: `step.growth`, the factor G the plan states, proves every
-    other value finite. A bound at or past it, a diagonal sum that is not
-    finite, or a step that states no G takes a max and a min of Z per member,
-    which decide exactly and reset the bound.
+    The finite check listens for numpy's floating-point signals. From a finite
+    Z, a step of numpy float arithmetic (stating `step.signals`) makes a
+    non-finite value only by an overflow, invalid operation or division by
+    zero, which signal, or in an own coordinate clipped from a NaN gradient,
+    which the diagonal sums catch. Else a max and a min per member decide.
 
     The records go into one block of six columns for the stack, member m's
     row r at [m, r]: `actions` is (members, rows, n), the others (members,
@@ -222,59 +225,57 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     X, W = Z = np.zeros((2, members, n, n))
     X[:] = x0
     actions = X.reshape(members, -1)[:, ::n + 1]  # the diagonals: X is contiguous, so a view
-    box = game.action_box
-    floor = bound = max(1.0, float(np.abs(box.lower).max()), float(np.abs(box.upper).max()))
-    growth = getattr(step, "growth", np.inf)
     S, T = np.empty_like(X), np.empty_like(X)
     every, last_k = stop.record_every, stop.max_iter
     rows = last_k // every + 1 + (last_k % every > 0)  # the grid and an off-grid max_iter
     block = _record_block(members, min(rows, max(1, _RECORD_BUDGET // (members * (n + 5) * 8))), n)
     k, r, ids, finite = 0, 0, np.arange(members), np.ones(members, bool)
     live, ends = ids.tolist(), [None] * members
-    while True:
-        grads, pseudo, guards = game.evaluate(X)
-        nr = _fixed_point_gap(actions, pseudo, box)
-        del pseudo  # the residual's input only: not held to the run's end, where memory peaks
-        recorded = k % every == 0 or k >= last_k
-        close, stops = nr <= stop.tol_residual, []
-        # only a member out of budget, non-finite or close (after k = 0) can stop;
-        # Python's any and all read a list of a few bools faster than numpy's
-        can_stop = k >= last_k or not all(finite.tolist()) or k > 0 and any(close.tolist())
-        if recorded or can_stop:
-            ce = consensus_error(X, graph)
-        if can_stop:
-            converged = close & finite & (ce <= stop.tol_consensus) & (k > 0)
-            last = converged | ~finite | (k >= last_k)
-            stops = last.nonzero()[0].tolist()
-        if recorded or stops:
-            if r == block[0].shape[1]:
-                grown = _record_block(members, min(rows, 2 * r), n)
-                for new, old in zip(grown, block):
-                    new[:, :r] = old
-                block = grown
-            sel = slice(None) if recorded else last
-            at = slice(None) if recorded and len(live) == members else ids[sel]
-            for column, value in zip(block, (k, actions[sel], ce[sel], nr[sel], guards[sel],
-                                             time.perf_counter() - t0)):
-                column[at, r] = value
-        if stops:
-            for g in stops:
-                reason = "converged" if converged[g] else \
-                    "iteration budget" if finite[g] else "diverged"
-                ends[live[g]] = SolverState(X[g].copy(), W[g].copy(), k), r + 1, reason
-            if len(stops) == len(live):
-                return [RunResult(state, Records(*(c[m, :count] for c in block)), reason)
-                        for m, (state, count, reason) in enumerate(ends)]
-            keep = ~last
-            ids, Z, grads = ids[keep], Z[:, keep], grads[keep]
-            live, (X, W), S, T = ids.tolist(), Z, S[:len(ids)], T[:len(ids)]
-            actions = X.reshape(len(live), -1)[:, ::n + 1]
-        r += recorded
-        step(X, W, S, T, live, grads)
-        k += 1
-        bound *= growth
-        finite = np.isfinite(actions.sum(axis=1))
-        if not (bound < _TRUSTED and all(finite.tolist())):
-            top, low = Z.max(axis=(0, 2, 3)), Z.min(axis=(0, 2, 3))  # NaN and infinities carry
-            finite = np.isfinite(top) & np.isfinite(low)
-            bound = max(floor, float(np.maximum(top, -low).max(initial=0.0, where=finite)))
+    flags, heard = [], _SIGNALS and getattr(step, "signals", False)
+    with _listening(flags):
+        while True:
+            grads, pseudo, guards = game.evaluate(X)
+            nr = _fixed_point_gap(actions, pseudo, game.action_box)
+            del pseudo  # the residual's input only: not held to the run's end, where memory peaks
+            recorded = k % every == 0 or k >= last_k
+            close, stops = nr <= stop.tol_residual, []
+            # only a member out of budget, non-finite or close (after k = 0) can stop;
+            # Python's any and all read a list of a few bools faster than numpy's
+            can_stop = k >= last_k or not all(finite.tolist()) or k > 0 and any(close.tolist())
+            if recorded or can_stop:
+                ce = consensus_error(X, graph)
+            if can_stop:
+                converged = close & finite & (ce <= stop.tol_consensus) & (k > 0)
+                last = converged | ~finite | (k >= last_k)
+                stops = last.nonzero()[0].tolist()
+            if recorded or stops:
+                if r == block[0].shape[1]:
+                    grown = _record_block(members, min(rows, 2 * r), n)
+                    for new, old in zip(grown, block):
+                        new[:, :r] = old
+                    block = grown
+                sel = slice(None) if recorded else last
+                at = slice(None) if recorded and len(live) == members else ids[sel]
+                for column, value in zip(block, (k, actions[sel], ce[sel], nr[sel], guards[sel],
+                                                 time.perf_counter() - t0)):
+                    column[at, r] = value
+            if stops:
+                for g in stops:
+                    reason = "converged" if converged[g] else \
+                        "iteration budget" if finite[g] else "diverged"
+                    ends[live[g]] = SolverState(X[g].copy(), W[g].copy(), k), r + 1, reason
+                if len(stops) == len(live):
+                    return [RunResult(state, Records(*(c[m, :count] for c in block)), reason)
+                            for m, (state, count, reason) in enumerate(ends)]
+                keep = ~last
+                ids, Z, grads = ids[keep], Z[:, keep], grads[keep]
+                live, (X, W), S, T = ids.tolist(), Z, S[:len(ids)], T[:len(ids)]
+                actions = X.reshape(len(live), -1)[:, ::n + 1]
+            r += recorded
+            flags.clear()  # the game's and the metrics' signals say nothing of Z
+            step(X, W, S, T, live, grads)
+            k += 1
+            finite = np.isfinite(actions.sum(axis=1))
+            if flags or not heard or not all(finite.tolist()):
+                top, low = Z.max(axis=(0, 2, 3)), Z.min(axis=(0, 2, 3))  # NaN and infinities carry
+                finite = np.isfinite(top) & np.isfinite(low)

@@ -269,3 +269,27 @@ def test_compare_rejects_an_overflowing_c_before_sweeping():
     with pytest.raises(SettingError) as exc:
         compare(game, ring(5), AdmmConfig(c=1e308), base, tol=1e-30)
     assert exc.value.field == "c"
+
+
+@pytest.mark.parametrize("tol, reason", [(0.0, "must be positive"), (-1e-4, "must be positive"),
+                                         (float("nan"), "must be positive"),
+                                         (float("inf"), "must be finite"),
+                                         ("1e-4", "must be a number")])
+def test_compare_names_its_own_tolerance_before_sweeping(tol, reason):
+    game = random_quadratic_game(5, seed=11)
+    base = BaselineConfig(sweep=(0.1,), max_iter=10**9)  # a sweep that would not end soon
+    with pytest.raises(SettingError) as exc:
+        compare(game, ring(5), AdmmConfig(), base, tol=tol)
+    assert (exc.value.field, exc.value.reason) == ("tol", reason)
+
+
+@pytest.mark.parametrize("config", [AdmmConfig, BaselineConfig])
+@pytest.mark.parametrize("field", ["tol_consensus", "tol_residual"])
+def test_a_tolerance_must_be_finite(config, field):
+    # an infinite tolerance would report "converged" at k = 1; zero, negative
+    # and NaN keep the positivity reason
+    for value, reason in [(float("inf"), "must be finite"), (0.0, "must be positive"),
+                          (-1.0, "must be positive"), (float("nan"), "must be positive")]:
+        with pytest.raises(SettingError) as exc:
+            config(**{field: value})
+        assert (exc.value.field, exc.value.reason) == (field, reason)

@@ -1,10 +1,11 @@
 """What the loop may skip or reuse cannot be seen from outside: the consensus
 error is computed only where it is read, the game is evaluated once per
 iteration for the step, the residual and the records, the finite check stops a
-member whose W alone is non-finite and decides from the plans' bounds exactly
-what a full pass decides, an iteration allocates no matrix, a result holds its
-own arrays, records take about a row of columns each, whatever the budget,
-and the caller's start is left as it was."""
+member whose W alone is non-finite and decides from numpy's floating-point
+signals exactly what a full pass decides, an iteration allocates no matrix, a
+result holds its own arrays, records take about a row of columns each,
+whatever the budget, and the caller's start and error state are left as they
+were."""
 
 import itertools
 import tracemalloc
@@ -178,10 +179,12 @@ def _result_bits(result):
 
 _POISONS = [None, np.nan, np.inf, -np.inf, 1e308, -1e308]
 _SMALL_GRAPHS = {3: ring(5), 7: path(4), 20: complete(4)}  # by the poison's first evaluation
+# graphs whose neighbor sums add strided views of X, by the poison's first evaluation
+_STRIDED_GRAPHS = {5: ring(200), 12: path(120)}
 
 
 def _watched(plan, finite):
-    """plan as a step that states no growth, so that the loop checks every value
+    """plan as a step that states no signals, so that the loop checks every value
     of Z each iteration, and that appends to `finite` a dict {member: whether
     its X and W are finite} after each step."""
     def step(X, W, S, T, live, grads):
@@ -197,9 +200,13 @@ def test_the_bound_decides_what_a_full_pass_decides(solver):
     # poisons put a NaN, an infinity or a huge value into an own step; the
     # full pass is checked in turn against the first non-finite step
     cs = [1e-300, 1e-3, 1.0, 1e3, 1e300] if solver == "admm" else [None]
+    strided_cs = [1e-300, 1.0, 1e300] if solver == "admm" else [None]
+    cases = itertools.chain(
+        itertools.product(cs, [1.0, 1e150, 1e300], _POISONS, _SMALL_GRAPHS.items()),
+        itertools.product(strided_cs, [1.0, 1e300], [None, np.nan, np.inf, 1e308],
+                          _STRIDED_GRAPHS.items()))
     reasons = []
-    for c, h, poison, (at, graph) in itertools.product(cs, [1.0, 1e150, 1e300], _POISONS,
-                                                       _SMALL_GRAPHS.items()):
+    for c, h, poison, (at, graph) in cases:
         n = graph.n
         x0 = h * np.linspace(-0.5, 0.5, n)
         stop = dict(max_iter=40, record_every=3, tol_consensus=1e-300, tol_residual=1e-300)
@@ -208,7 +215,7 @@ def test_the_bound_decides_what_a_full_pass_decides(solver):
             plan = _admm_plan(game, graph, AdmmConfig(c=c, **stop))
         else:
             plan = _baseline_plan(game, graph, (0.2, 1e300))
-        assert plan.growth < np.inf
+        assert plan.signals
         bounded = loop._drive(x0, 2, plan, game, graph, BaselineConfig(**stop))
         finite = []
         full = loop._drive(x0, 2, _watched(plan, finite), PoisonedGame(n, h, poison, at), graph,
@@ -262,26 +269,112 @@ def test_an_iteration_allocates_no_matrix(check):
     assert max(peaks) < 0.05 * n * n * 8
 
 
-@pytest.mark.parametrize("c", [1e-3, 0.7, 1.0, 1e3])
+@pytest.mark.parametrize("c", [1e-300, 1e-3, 0.7, 1.0, 1e3, 1e300])
 @pytest.mark.parametrize("graph", [ring(5), path(4), complete(4), default_wanet_instance(7)[1]],
                          ids=["ring5", "path4", "complete4", "wanet7"])
-def test_each_plan_keeps_within_its_stated_growth(graph, c):
-    # from any X and W within M (the box's bound or more), one step leaves every
-    # value of X and W but the own coordinates within G M
-    n, rng = graph.n, np.random.default_rng(round(c * 1000) + graph.n)
+def test_a_step_that_leaves_a_non_finite_value_signals(graph, c):
+    # from a finite X and W, each drawn at scales up to the largest float, one
+    # step of either plan that leaves a non-finite value in W or off the own
+    # coordinates has signalled under the loop's error state; at 1e307 and c
+    # near 1, W += T is the one operation that overflows in some draws
+    n, rng = graph.n, np.random.default_rng([graph.n, round(np.log2(c)) + 1100])
     game = PoisonedGame(n, 10.0, None)
     plans = {"admm": _admm_plan(game, graph, AdmmConfig(c=c)),
-             "baseline": _baseline_plan(game, graph, (0.2, 0.01))}
+             "baseline": _baseline_plan(game, graph, (0.2, c))}
+    off, overflowed = ~np.eye(n, dtype=bool), []
+    scales = (10.0, 1e300, 1e307, 1e308, np.finfo(float).max)
     for name, plan in plans.items():
-        for scale in (10.0, 1e3):  # M at the box's bound, and above it
-            X = rng.uniform(-scale, scale, (2, n, n))
+        for x_scale, w_scale in itertools.product(scales, scales if name == "admm" else [0.0]):
+            X = x_scale * rng.uniform(-1.0, 1.0, (2, n, n))
             np.einsum("...ii->...i", X)[:] = rng.uniform(-10.0, 10.0, (2, n))
-            W = rng.uniform(-scale, scale, (2, n, n)) if name == "admm" else np.zeros_like(X)
-            M = max(np.abs(X).max(), np.abs(W).max())
-            plan(X, W, np.empty_like(X), np.empty_like(X), [0, 1], rng.standard_normal((2, n)))
-            off = ~np.eye(n, dtype=bool)
-            assert max(np.abs(X[:, off]).max(), np.abs(W).max()) <= plan.growth * M * (1 + 1e-12)
+            W = w_scale * rng.uniform(-1.0, 1.0, (2, n, n))
+            flags = []
+            with loop._listening(flags):
+                plan(X, W, np.empty_like(X), np.empty_like(X), [0, 1],
+                     rng.standard_normal((2, n)))
+            if not (np.isfinite(X[:, off]).all() and np.isfinite(W).all()):
+                assert flags, (name, x_scale, w_scale)
+                overflowed.append(name)
             assert np.abs(np.einsum("...ii->...i", X)).max() <= 10.0
+    assert set(overflowed) == {"admm", "baseline"}
+
+
+def _admm_overflow():
+    """An ADMM run at c = 1e300 from rows of size 1e150, whose W overflows at k = 2."""
+    h = 1e150
+    return [run(PoisonedGame(6, h, None), ring(6), AdmmConfig(c=1e300, max_iter=50),
+                x0=h * np.linspace(-0.5, 0.5, 6))]
+
+
+def _baseline_overflow():
+    """A baseline sweep from rows near the largest float, whose neighbor sums
+    overflow at k = 1."""
+    h = 1e308
+    return run_baseline(PoisonedGame(6, h, None), ring(6), BaselineConfig(max_iter=50),
+                        x0=h * np.linspace(-1.0, 1.0, 6))
+
+
+def test_a_numpy_that_cannot_signal_gets_the_same_bits(monkeypatch):
+    # without signals every step takes the exact pass, which decides the same
+    solves = [
+        lambda: [run(random_quadratic_game(8, 1), ring(8), AdmmConfig())],
+        _admm_overflow,
+        lambda: run_baseline(random_quadratic_game(8, 1), ring(8), BaselineConfig()),
+        _baseline_overflow,
+    ]
+    assert loop._SIGNALS
+    heard = [[_result_bits(r) for r in solve()] for solve in solves]
+    monkeypatch.setattr(loop, "_SIGNALS", False)
+    assert [[_result_bits(r) for r in solve()] for solve in solves] == heard
+    reasons = [{bits[3] for bits in results} for results in heard]
+    assert reasons == [{"converged"}, {"diverged"}, {"converged"}, {"diverged"}]
+
+
+class RaisingGame(QuadraticGame):
+    """random_quadratic_game(6, 0), whose evaluation raises at its 5th call."""
+
+    def __init__(self):
+        base = random_quadratic_game(6, 0)
+        super().__init__(base.a, base.B, base.d, base.action_box)
+        self.calls = 0
+
+    def evaluate(self, X):
+        self.calls += 1
+        if self.calls == 5:
+            raise RuntimeError("the game fails")
+        return super().evaluate(X)
+
+
+def test_a_callers_error_state_neither_interrupts_a_solve_nor_leaks_from_it():
+    # a caller that raises on every floating-point error, underflow too: a
+    # subnormal start underflows in the game's products, and the overflowing
+    # runs overflow
+    cfg = dict(max_iter=50)
+    solves = [
+        lambda: [run(random_quadratic_game(6, 0), ring(6), AdmmConfig(**cfg),
+                     x0=np.full(6, 1e-310))],
+        _admm_overflow,
+        lambda: run_baseline(random_quadratic_game(6, 0), ring(6), BaselineConfig(**cfg),
+                             x0=np.full(6, 1e-310)),
+        _baseline_overflow,
+        lambda: [run(RaisingGame(), ring(6), AdmmConfig(**cfg))],
+        lambda: run_baseline(RaisingGame(), ring(6), BaselineConfig(**cfg)),
+    ]
+
+    def mine(kind, flag):
+        pass
+
+    with np.errstate(all="raise", call=mine):
+        before = np.geterr(), np.geterrcall()
+        ends = []
+        for solve in solves:
+            try:
+                ends.append({r.reason for r in solve()})
+            except RuntimeError as e:
+                ends.append(str(e))
+            assert (np.geterr(), np.geterrcall()) == before
+    assert ends[:2] == [{"iteration budget"}, {"diverged"}]
+    assert ends[2:] == [{"iteration budget"}, {"diverged"}, "the game fails", "the game fails"]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
