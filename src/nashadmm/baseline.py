@@ -9,14 +9,14 @@ coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .admm import AdmmConfig, _divisor, _step_weights, run as admm_run
 from .games import GameModel
 from .graph import CommGraph
-from .loop import Records, RunResult, StopRule, _check, _drive, _floats, _tolerance, check_problem
+from .loop import RunResult, StopRule, _check, _drive, _floats, _tolerance, check_problem
 
 __all__ = [
     "BaselineConfig",
@@ -118,10 +118,9 @@ def compare(game: GameModel, graph: CommGraph, admm_cfg: AdmmConfig,
     best, base_iters, reasons = runs[b], sweep_results[b][2], {r.reason for r in runs}
     base_reason = "converged" if done else "diverged" if "diverged" in reasons \
         else "iteration budget"
-    # the reported rows get columns of their own, so the sweep's record block
+    # the reported rows get a block of their own, so the sweep's record block
     # and the unreported runs' states go before the ADMM run adds its own
-    base_res = replace(best, records=Records(*(getattr(best.records, f.name).copy()
-                                               for f in fields(Records))))
+    base_res = replace(best, records=best.records.copy())
     del runs, best
     admm_result = admm_run(game, graph, a_cfg, x0=x0)
     admm_iters = admm_result.state.k if admm_result.reason == "converged" else None

@@ -25,7 +25,7 @@ from .admm import AdmmConfig, _step_weights, condition_threshold, run
 from .baseline import BaselineConfig, compare
 from .games import ActionBox, QuadraticGame, WanetGame, default_wanet_instance, quadratic_sigma_f
 from .graph import CommGraph, complete, path, random_connected_graph, ring
-from .loop import Records, SettingError, check_problem
+from .loop import SettingError, check_problem
 
 TRACE_COLUMNS = ["k", "player", "action", "consensus_error", "ne_residual",
                  "guard_activations", "elapsed_us"]
@@ -241,10 +241,10 @@ def _output_dir(cfg: dict, flag_value, *traces: str) -> list[Path]:
     return paths
 
 
-def write_trace(path: Path, records: Records, timing: bool = False):
+def write_trace(path: Path, records: np.recarray, timing: bool = False):
     """Long-format CSV: one row per recorded iteration per player, each ended
-    by CRLF as csv.writer ends it. The records' columns are read a few
-    thousand values at a time, one `tolist` per column, so the Python floats
+    by CRLF as csv.writer ends it. The records' fields are read a few
+    thousand values at a time, one `tolist` per field, so the Python floats
     of a long trace never exist all at once.
 
     Floats are serialized with repr so identical runs produce identical bytes;
@@ -254,8 +254,7 @@ def write_trace(path: Path, records: Records, timing: bool = False):
     with open(path, "w", newline="") as f:
         f.write(",".join(TRACE_COLUMNS) + "\r\n")
         for s in range(0, len(records), chunk):
-            columns = (getattr(records, field.name)[s:s + chunk].tolist()
-                       for field in fields(records))
+            columns = (records[name][s:s + chunk].tolist() for name in records.dtype.names)
             for k, actions, ce, nr, guards, elapsed in zip(*columns):
                 us = int(round(elapsed * 1e6)) if timing else 0
                 tail = f"{ce!r},{nr!r},{guards},{us}\r\n"

@@ -4,16 +4,16 @@ single run is a stack of one."""
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .games import GameModel
 from .graph import CommGraph
-from .metrics import IterationRecord, _fixed_point_gap, consensus_error
+from .metrics import _fixed_point_gap, consensus_error
 
 
 class SettingError(ValueError):
@@ -86,41 +86,20 @@ class SolverState:
     k: int
 
 
-@dataclass(eq=False, slots=True)
-class Records(Sequence):
-    """A table of recorded iterations: six columns named as IterationRecord's
-    fields, row i of each holding the i-th record, `actions` (rows, n) and the
-    others (rows,). `records[i]` (a negative i too) reads row i as an
-    IterationRecord whose actions are a view of the column."""
-
-    k: np.ndarray
-    actions: np.ndarray
-    consensus_error: np.ndarray
-    ne_residual: np.ndarray
-    guard_activations: np.ndarray
-    elapsed: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.k)
-
-    def __getitem__(self, i) -> IterationRecord:
-        return IterationRecord(int(self.k[i]), self.actions[i], float(self.consensus_error[i]),
-                               float(self.ne_residual[i]), int(self.guard_activations[i]),
-                               float(self.elapsed[i]))
-
-
 @dataclass
 class RunResult:
     """Terminal state plus the sampled trace and why iteration stopped.
 
-    records is a Records table whose columns are views of the rows the loop
-    wrote for this run. reason is one of "converged", "iteration budget",
-    "diverged"; a diverged run's state.k is the iteration that first produced
-    a non-finite value.
+    records is a numpy.recarray of `_record_dtype(n)` rows, a view of the rows
+    the loop wrote for this run: `records[i]` (a negative i too) is a
+    numpy.record, `records.k` one value per record and `records.actions` one
+    row of n actions per record. reason is one of "converged", "iteration
+    budget", "diverged"; a diverged run's state.k is the iteration that first
+    produced a non-finite value.
     """
 
     state: SolverState
-    records: Records
+    records: np.recarray
     reason: str
 
 
@@ -155,16 +134,24 @@ def init_state(game: GameModel, graph: CommGraph, x0=None) -> SolverState:
     return SolverState(X=X, W=np.zeros_like(X), k=0)
 
 
-# bytes of record columns allocated up front at most; a longer run grows them
+# bytes of records allocated up front at most; a longer run grows the block
 _RECORD_BUDGET = 1 << 23
 
 
-def _record_block(members: int, rows: int, n: int) -> list[np.ndarray]:
-    """Empty record columns in IterationRecord's field order, (members, rows)
-    each and (members, rows, n) for the actions."""
-    shape = (members, rows)
-    return [np.empty(shape, int), np.empty((*shape, n)), np.empty(shape), np.empty(shape),
-            np.empty(shape, int), np.empty(shape)]
+# cached: a dtype built per run adds about 700 bytes to the run's memory peak
+@functools.lru_cache(maxsize=8)
+def _record_dtype(n: int) -> np.dtype:
+    """The record format, one row per recorded iteration of a run: `actions`
+    is the n own actions, `guard_activations` counts the clamped congestion
+    terms summed over players (0 for games without guards) and `elapsed` is
+    the wall-clock seconds the stack of runs has taken up to the iteration."""
+    return np.dtype([("k", int), ("actions", float, (n,)), ("consensus_error", float),
+                     ("ne_residual", float), ("guard_activations", int), ("elapsed", float)])
+
+
+def _record_block(members: int, rows: int, n: int) -> np.ndarray:
+    """An empty (members, rows) block of records for n players."""
+    return np.empty((members, rows), _record_dtype(n))
 
 
 def _listening(flags: list):
@@ -202,14 +189,14 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     zero, which signal, or in an own coordinate clipped from a NaN gradient,
     which the diagonal sums catch. Else a max and a min per member decide.
 
-    The records go into one block of six columns for the stack, member m's
-    row r at [m, r]: `actions` is (members, rows, n), the others (members,
-    rows). There is a row for each iteration of the record grid up to
-    max_iter and for an off-grid max_iter, up to _RECORD_BUDGET bytes at
-    first and grown past them if a run gets there. A recorded iteration
-    writes a row for every live member, through basic slices while none has
-    left; a member that stops off the grid writes its last record into its
-    own next row. A result's records are views of its member's rows.
+    The records go into one (members, rows) block of `_record_dtype(n)` rows
+    for the stack, member m's row r at [m, r]. There is a row for each
+    iteration of the record grid up to max_iter and for an off-grid max_iter,
+    up to _RECORD_BUDGET bytes at first and grown past them if a run gets
+    there. A recorded iteration writes a row for every live member, through
+    basic slices while none has left; a member that stops off the grid writes
+    its last record into its own next row. A result's records are a recarray
+    view of its member's rows.
 
     The game is evaluated once per iteration, for the whole stack
     (`game.evaluate(X)`): the step's gradients, the equilibrium residual (the
@@ -228,7 +215,8 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
     S, T = np.empty_like(X), np.empty_like(X)
     every, last_k = stop.record_every, stop.max_iter
     rows = last_k // every + 1 + (last_k % every > 0)  # the grid and an off-grid max_iter
-    block = _record_block(members, min(rows, max(1, _RECORD_BUDGET // (members * (n + 5) * 8))), n)
+    size = _record_dtype(n).itemsize
+    block = _record_block(members, min(rows, max(1, _RECORD_BUDGET // (members * size))), n)
     k, r, ids, finite = 0, 0, np.arange(members), np.ones(members, bool)
     live, ends = ids.tolist(), [None] * members
     flags, heard = [], _SIGNALS and getattr(step, "signals", False)
@@ -249,23 +237,23 @@ def _drive(x0: np.ndarray, members: int, step, game: GameModel, graph: CommGraph
                 last = converged | ~finite | (k >= last_k)
                 stops = last.nonzero()[0].tolist()
             if recorded or stops:
-                if r == block[0].shape[1]:
+                if r == block.shape[1]:
                     grown = _record_block(members, min(rows, 2 * r), n)
-                    for new, old in zip(grown, block):
-                        new[:, :r] = old
+                    grown[:, :r] = block
                     block = grown
                 sel = slice(None) if recorded else last
                 at = slice(None) if recorded and len(live) == members else ids[sel]
-                for column, value in zip(block, (k, actions[sel], ce[sel], nr[sel], guards[sel],
-                                                 time.perf_counter() - t0)):
-                    column[at, r] = value
+                # a field view per write: views held across the iteration raise its peak
+                for name, value in zip(block.dtype.names, (k, actions[sel], ce[sel], nr[sel],
+                                                           guards[sel], time.perf_counter() - t0)):
+                    block[name][at, r] = value
             if stops:
                 for g in stops:
                     reason = "converged" if converged[g] else \
                         "iteration budget" if finite[g] else "diverged"
                     ends[live[g]] = SolverState(X[g].copy(), W[g].copy(), k), r + 1, reason
                 if len(stops) == len(live):
-                    return [RunResult(state, Records(*(c[m, :count] for c in block)), reason)
+                    return [RunResult(state, block[m, :count].view(np.recarray), reason)
                             for m, (state, count, reason) in enumerate(ends)]
                 keep = ~last
                 ids, Z, grads = ids[keep], Z[:, keep], grads[keep]

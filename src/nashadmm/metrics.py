@@ -2,36 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .games import GameModel
 from .graph import CommGraph
 
 __all__ = [
-    "IterationRecord",
     "consensus_error",
     "ne_residual",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """One sampled iteration: actions plus the two stopping metrics, a row of
-    a run's records (`loop.Records`), whose actions are a view of its column.
-
-    `guard_activations` counts clamped congestion terms summed over players
-    (always 0 for games without guards). `elapsed` is wall-clock seconds spent
-    in the solver, or in the stack of runs it belongs to, up to this iteration.
-    """
-
-    k: int
-    actions: np.ndarray
-    consensus_error: float
-    ne_residual: float
-    guard_activations: int
-    elapsed: float
 
 
 def consensus_error(X: np.ndarray, graph: CommGraph):

@@ -270,7 +270,7 @@ def test_first_step_keeps_no_matrix():
 
 def test_run_peaks_at_six_matrices():
     # X, W, the loop's two scratch arrays and the result's copies of X and W:
-    # measured at 6.042 n-by-n arrays
+    # measured at 6.048 n-by-n arrays
     n = 200
     game, graph = random_quadratic_game(n, 0), ring(n)
     cfg = AdmmConfig(max_iter=100, record_every=100, tol_consensus=1e-30, tol_residual=1e-30)

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nashadmm import IterationRecord, cli, default_wanet_instance, random_quadratic_game
-from nashadmm.loop import Records
+from nashadmm import cli, default_wanet_instance, loop, random_quadratic_game
 
 
 QUAD = {
@@ -71,9 +70,9 @@ def test_run_budget_exit_two(tmp_path, capsys):
 def test_run_divergence_exit_one(tmp_path, capsys, monkeypatch):
     from nashadmm.admm import RunResult, SolverState
 
-    rec = Records(k=np.array([3]), actions=np.zeros((1, 3)), consensus_error=np.array([np.nan]),
-                  ne_residual=np.array([np.nan]), guard_activations=np.array([0]),
-                  elapsed=np.array([0.0]))
+    rec = loop._record_block(1, 1, 3)[0].view(np.recarray)
+    rec.k, rec.actions, rec.consensus_error, rec.ne_residual = 3, 0.0, np.nan, np.nan
+    rec.guard_activations, rec.elapsed = 0, 0.0
     fake = RunResult(state=SolverState(np.zeros((3, 3)), np.zeros((3, 3)), 3),
                      records=rec, reason="diverged")
     monkeypatch.setattr(cli, "run", lambda *a, **k: fake)
@@ -126,13 +125,14 @@ def _csv_writer_trace(path, records, timing):
 def test_write_trace_bytes_match_csv_writer(tmp_path, timing):
     odd = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
     # three rows, the last a diverged run's last record
-    records = Records(k=np.array([0, 7, 8]),
-                      actions=np.array([odd, odd[::-1], [np.inf, -np.inf, np.nan, 1.0]]),
-                      consensus_error=np.array([0.1 + 0.2, 5e-324, np.nan]),
-                      ne_residual=np.array([-0.0, 1e16, np.inf]),
-                      guard_activations=np.array([0, 3, 12]),
-                      elapsed=np.array([0.0, 1.2345678, 2.5e-7]))
-    assert all(isinstance(r, IterationRecord) for r in records)
+    records = loop._record_block(1, 3, 4)[0].view(np.recarray)
+    records.k = [0, 7, 8]
+    records.actions = [odd, odd[::-1], [np.inf, -np.inf, np.nan, 1.0]]
+    records.consensus_error = [0.1 + 0.2, 5e-324, np.nan]
+    records.ne_residual = [-0.0, 1e16, np.inf]
+    records.guard_activations = [0, 3, 12]
+    records.elapsed = [0.0, 1.2345678, 2.5e-7]
+    assert all(isinstance(r, np.record) for r in records)
     cli.write_trace(tmp_path / "new.csv", records, timing=timing)
     _csv_writer_trace(tmp_path / "ref.csv", records, timing)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -195,7 +195,7 @@ def _watched(plan, finite):
 
 
 @pytest.mark.parametrize("solver", ["admm", "baseline"])
-def test_the_bound_decides_what_a_full_pass_decides(solver):
+def test_the_signals_decide_what_a_full_pass_decides(solver):
     # c from 1e-300 to 1e300 and boxes up to 1e300 make values overflow, the
     # poisons put a NaN, an infinity or a huge value into an own step; the
     # full pass is checked in turn against the first non-finite step
@@ -216,12 +216,12 @@ def test_the_bound_decides_what_a_full_pass_decides(solver):
         else:
             plan = _baseline_plan(game, graph, (0.2, 1e300))
         assert plan.signals
-        bounded = loop._drive(x0, 2, plan, game, graph, BaselineConfig(**stop))
+        signalled = loop._drive(x0, 2, plan, game, graph, BaselineConfig(**stop))
         finite = []
         full = loop._drive(x0, 2, _watched(plan, finite), PoisonedGame(n, h, poison, at), graph,
                            BaselineConfig(**stop))
         case = (c, h, poison, graph.n, len(graph.edges))
-        for g, (b, f) in enumerate(zip(bounded, full)):
+        for g, (b, f) in enumerate(zip(signalled, full)):
             assert _result_bits(b) == _result_bits(f), case
             first_bad = next((k for k, ok in enumerate(finite, 1) if not ok.get(g, True)), None)
             assert (f.reason == "diverged", f.state.k) == (first_bad is not None,
@@ -235,14 +235,14 @@ def test_the_bound_decides_what_a_full_pass_decides(solver):
     assert any(reason == "iteration budget" for _, reason, _ in reasons)
 
 
-@pytest.mark.parametrize("check", ["bound", "full pass"])
+@pytest.mark.parametrize("check", ["signals", "full pass"])
 def test_an_iteration_allocates_no_matrix(check):
     # the parent's check allocated a bool array of Z, 2 n^2 bytes, each iteration
     n = 200
     game, graph = random_quadratic_game(n, 0), ring(n)
     cfg = AdmmConfig(max_iter=100, record_every=100, tol_consensus=1e-30, tol_residual=1e-30)
     plan = _admm_plan(game, graph, cfg)
-    step = plan if check == "bound" else lambda *a: plan(*a)
+    step = plan if check == "signals" else lambda *a: plan(*a)
     evaluate, calls, peaks = game.evaluate, [], []
 
     def measured(X):
@@ -380,7 +380,7 @@ def test_a_callers_error_state_neither_interrupts_a_solve_nor_leaks_from_it():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["X", "W", "own"])
 def test_any_non_finite_value_stops_its_member_where_it_appears(value, where):
-    # a step that states no growth has all of Z checked, its own coordinates too
+    # a step without the `signals` marker has all of Z checked, its own coordinates too
     game, graph = random_quadratic_game(8, 1), ring(8)
     cfg = AdmmConfig(max_iter=60, record_every=10, tol_consensus=1e-30, tol_residual=1e-30)
     admm, at = _admm_plan(game, graph, cfg), {"X": (2, 6), "W": (0, 7), "own": (4, 4)}
@@ -477,7 +477,7 @@ def test_a_race_report_holds_the_reported_baseline_rows_alone():
         tracemalloc.stop()
     assert (report.admm_iterations, report.baseline_iterations) == (2004, 4723)
     records = report.baseline_result.records
-    assert len(records) == 4724 and records.actions.base is None
+    assert len(records) == 4724 and records.base is None
     # measured 1.569 MB: the best run's 4724 rows (0.76 MB) and the ADMM run's
     # 5001-row block (0.80 MB); 4.81 MB with the sweep's 5 x 5001-row block
     assert held <= 1.65e6
